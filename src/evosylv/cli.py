@@ -28,7 +28,8 @@ from .discretization import assemble_rhs, assemble_space_operator, sample_space_
 from .errors import ConfigError, NoConvergence
 from .oracles import dense_kron_solve, timestep_solve
 from .presets import PRESET_NAMES, get_preset
-from .solver import materialize, solve_eksm, solve_eksm_separable, solve_rksm
+from .solver import (INNERS, materialize, solve_eksm, solve_eksm_separable,
+                     solve_rksm)
 from .timeops import build_time_operator
 
 logger = logging.getLogger("evosylv")
@@ -40,7 +41,6 @@ CSV_HEADER = ("preset,d,n,ell,s,method,inner,iterations,final_residual,"
 ORACLE_ENTRY_LIMIT = 2 ** 23
 
 METHODS = ("eksm", "rksm", "timestep-oracle", "dense-oracle")
-INNERS = ("fft_smw", "sequential")
 SEPARABLE_MODES = ("auto", "on", "off")
 
 SPACE_SWEEP_POINTS = (33, 65, 129, 257)

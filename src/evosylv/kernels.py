@@ -3,7 +3,6 @@
 Thin wrappers around LAPACK/SuperLU/pocketfft that pin down the conventions
 the rest of the package relies on:
 
-* ``qr_economy``     economy QR with orthonormal Q,
 * ``dense_eig``      eigendecomposition of a small (possibly nonsymmetric)
                      real matrix, with a conditioning estimate,
 * ``fft`` / ``ifft`` transform pair satisfying the circulant diagonalization
@@ -24,20 +23,6 @@ from .errors import NonDiagonalizable, SingularMatrix
 
 #: Largest matrix order accepted by dense_eig.
 DENSE_EIG_BOUND = 4096
-
-
-def qr_economy(A):
-    """Economy-size QR of an n x k matrix, k <= n.
-
-    Returns (Q, R) with Q orthonormal (n x k) and R upper triangular (k x k)
-    such that Q @ R == A. Rank deficiency is not an error here: callers
-    inspect the diagonal of R.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[1] > A.shape[0]:
-        raise ValueError(f"expected n x k with k <= n, got {A.shape}")
-    Q, R = np.linalg.qr(A, mode="reduced")
-    return Q, R
 
 
 @dataclass
@@ -107,6 +92,11 @@ def sparse_factorize(A):
         raise ValueError(f"expected square matrix, got {A.shape}")
     if A.nnz == 0:
         raise SingularMatrix("all-zero matrix")
+    # SuperLU may crash instead of reporting singularity when a whole row or
+    # column is zero, e.g. a shift equal to a boundary-row eigenvalue
+    absA = abs(A)
+    if min(absA.sum(axis=0).min(), absA.sum(axis=1).min()) == 0.0:
+        raise SingularMatrix("matrix has a zero row or column")
     try:
         return spla.splu(A)
     except RuntimeError as exc:

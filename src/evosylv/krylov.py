@@ -69,10 +69,8 @@ class _ProjectionState:
     def __init__(self, op, deftol):
         self.op = op
         self.deftol = deftol
-        n = op.size if hasattr(op, "size") else op.matrix.shape[0]
-        self.n = n
-        self.V = np.zeros((n, 0))
-        self.KV = np.zeros((n, 0))
+        self.V = np.zeros((op.size, 0))
+        self.KV = np.zeros((op.size, 0))
         self.T_full = np.zeros((0, 0))
         self.Vb = np.zeros((len(op.boundary_indices), 0))
         self.block_bounds = [0]
@@ -126,8 +124,6 @@ class ExtendedKrylovBasis:
     the inverse half by Kbar^{-1}, then orthogonalizes twice against the
     whole basis. Deflated directions shrink the corresponding half.
     """
-
-    kind = "extended"
 
     def __init__(self, op, B, deflation_tol=DEFLATION_TOL):
         self.state = _ProjectionState(op, deflation_tol)
@@ -191,8 +187,6 @@ class RationalKrylovBasis:
     coefficients Hbar (block upper Hessenberg), as needed by the residual
     formula of the rational method."""
 
-    kind = "rational"
-
     def __init__(self, op, B, deflation_tol=DEFLATION_TOL):
         self.state = _ProjectionState(op, deflation_tol)
         self.op = op
@@ -207,7 +201,6 @@ class RationalKrylovBasis:
         self.state.append_block(Vnew)
         self.gamma = Vnew.T @ B
         self.Hbar = np.zeros((self.state.width, 0))
-        self.shifts = []
         self.mid_deflated = False
 
     @property
@@ -250,7 +243,6 @@ class RationalKrylovBasis:
         Hext[:r0, :self.Hbar.shape[1]] = self.Hbar
         Hext[:coeffs.shape[0], self.Hbar.shape[1]:] = coeffs
         self.Hbar = Hext
-        self.shifts.append(float(shift))
         st.append_block(Vnew)
 
 

@@ -1,9 +1,11 @@
 """Outer projection solvers and the fast inner solves.
 
-The outer methods (solve_eksm, solve_eksm_separable, solve_rksm) reduce the
-space operator by Galerkin projection onto a (tensorized) extended or
-rational Krylov subspace and monitor cheap residual-norm formulas. The inner
-projected equation
+The outer methods share one loop: grow a Krylov basis of the space
+operator, project onto it, solve the small equation in time, and check a
+cheap residual-norm formula. They differ only in the projection: extended
+(solve_eksm) or rational (solve_rksm) Krylov on the whole space, or one
+extended basis per dimension (solve_eksm_separable). The inner projected
+equation
 
     (I_m + tau*beta*T_m) Y - Y sigma^T = rhs_left rhs_right^T
 
@@ -16,7 +18,7 @@ rounding and are tested against each other.
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +34,9 @@ from .krylov import (Breakdown, ExtendedKrylovBasis, RationalKrylovBasis,
 
 #: Eigenvector conditioning beyond which the FFT+SMW path declines.
 SMW_COND_LIMIT = 1e12
+
+#: The inner solvers an outer solve may ask for.
+INNERS = ("fft_smw", "sequential")
 
 
 @dataclass
@@ -173,29 +178,23 @@ class SolveReport:
 
 
 def extract_snapshot(sol, k):
-    """Time slice k (1-based) of the approximate solution, factored form."""
+    """Time slice k (1-based) of the approximate solution, factored form.
+
+    Column k of Y, reshaped to one axis per basis (first axis fastest), is
+    multiplied by each basis along its own axis.
+    """
     L = sol.Y.shape[1]
     if not 1 <= k <= L:
         raise IndexOutOfRange(f"snapshot index {k} outside 1..{L}")
-    y = sol.Y[:, k - 1]
-    if sol.layout == "full":
-        return sol.bases[0] @ y
-    rs = [V.shape[1] for V in sol.bases]
-    Yt = y.reshape(rs, order="F")
-    if len(sol.bases) == 2:
-        V1, V2 = sol.bases
-        return (V1 @ Yt @ V2.T).ravel(order="F")
-    V1, V2, V3 = sol.bases
-    out = np.einsum("ia,jb,kc,abc->ijk", V1, V2, V3, Yt)
-    return out.ravel(order="F")
+    T = sol.Y[:, k - 1].reshape([V.shape[1] for V in sol.bases], order="F")
+    for i, V in enumerate(sol.bases):
+        T = np.moveaxis(np.tensordot(V, T, axes=(1, i)), 0, i)
+    return T.ravel(order="F")
 
 
 def materialize(sol):
     """Dense n^d x ell solution matrix (desk-scale helper)."""
-    if sol.layout == "full":
-        return sol.bases[0] @ sol.Y
-    big = kron_vectors(sol.bases)
-    return big @ sol.Y
+    return kron_vectors(sol.bases) @ sol.Y
 
 
 def eksm_memory_units(m, width, nd, L):
@@ -217,18 +216,229 @@ def eksm_separable_memory_units(m, widths, n, L):
     return 2 * (m + 1) * sum(widths) * n + (2 ** d) * (m + 1) ** d * prod * L
 
 
-def _zero_solution(layout, op_size, L, d, mem, inner, t0):
-    bases = [np.zeros((op_size, 0))] if layout == "full" else \
-        [np.zeros((op_size, 0)) for _ in range(d)]
-    sol = FactoredSolution(layout, bases, np.zeros((0, L)))
-    rep = SolveReport(iterations=1, residual_history=[0.0], delta=0.0,
-                      converged=True, basis_dims=[0] * len(bases),
-                      memory_units=mem, wall_time=time.perf_counter() - t0,
-                      inner_solver=inner)
+def _layout(n_bases):
+    return "full" if n_bases == 1 else f"tensor{n_bases}d"
+
+
+def _outer_loop(start, rows, memory_units, rhs, timeop, tol, m_max, inner,
+                history):
+    """The loop every outer solver shares; only the projection differs.
+
+    ``start()`` builds the projection, once the right-hand side is known to
+    be nonzero. A projection offers ``grow()`` (False on breakdown or when
+    every dimension is frozen), ``reduced(m)`` returning (A_small, rhs_left)
+    and setting ``r``, ``residual(Y)`` (absolute norm) and ``solution(Y)``.
+    ``rows`` are the row counts of the bases, for the zero solution. After a
+    breakdown the basis spans an invariant subspace and the residual
+    vanishes (lucky termination).
+    """
+    t0 = time.perf_counter()
+    if inner not in INNERS:
+        raise ValueError(f"unknown inner solver {inner!r}")
+    L = timeop.ell
+    delta = rhs.initial_norm()
+    if delta == 0.0:
+        sol = FactoredSolution(_layout(len(rows)), [np.zeros((k, 0)) for k in rows],
+                               np.zeros((0, L)))
+        m, res_hist, converged, used_inner = 1, [0.0], True, {inner}
+    else:
+        projection = start()
+        cache = SmwCache(timeop, rhs.right) if inner == "fft_smw" else None
+        res_hist, used_inner = [], set()
+        grown = True
+        for m in range(1, m_max + 1):
+            grown = grown and projection.grow()
+            A_small, rhs_left = projection.reduced(m)
+            prob = ProjectedProblem(A_small=A_small, rhs_left=rhs_left,
+                                    rhs_right=rhs.right, timeop=timeop)
+            Y, used = solve_projected(prob, inner, cache)
+            used_inner.add(used)
+            rel = projection.residual(Y) / delta if grown else 0.0
+            res_hist.append(rel)
+            if history is not None:
+                history.append({"m": m, "r": projection.r, "Y": Y.copy(),
+                                "rel_residual": rel})
+            converged = bool(rel <= tol)
+            if converged or not grown:
+                break
+        sol = projection.solution(Y)
+    rep = SolveReport(iterations=m, residual_history=res_hist, delta=delta,
+                      converged=converged,
+                      basis_dims=[V.shape[1] for V in sol.bases],
+                      memory_units=memory_units(m),
+                      wall_time=time.perf_counter() - t0,
+                      inner_solver="fft_smw" if used_inner == {"fft_smw"} else "sequential")
     return sol, rep
 
 
-# --- extended Krylov, full space ----------------------------------------------
+# --- full-space projections ------------------------------------------------------
+
+
+class _FullSpaceProjection:
+    """Galerkin projection onto one basis of the whole space. The projected
+    right-hand side grows by V_new^T @ rhs.left for each new block."""
+
+    def __init__(self, op, rhs, basis):
+        self.op, self.rhs, self.basis = op, rhs, basis
+        self.rhs_left = basis.V.T @ rhs.left
+
+    def grow(self):
+        r_before = self.basis.width
+        try:
+            self._step()
+        except Breakdown:
+            return False
+        self.rhs_left = np.vstack([self.rhs_left,
+                                   self.basis.V[:, r_before:].T @ self.rhs.left])
+        return True
+
+    def reduced(self, m):
+        T_m, I_m, self.coupling = self.basis.projections(min(m, self.basis.n_blocks))
+        self.r = T_m.shape[0]
+        return I_m + self.op.tau_beta * T_m, self.rhs_left[:self.r]
+
+    def solution(self, Y):
+        return FactoredSolution("full", [self.basis.V[:, :Y.shape[0]].copy()], Y)
+
+
+class _ExtendedProjection(_FullSpaceProjection):
+    """Extended Krylov: the residual is tau*beta ||E_{m+1}^T Tbar_m Y_m||_F."""
+
+    def __init__(self, op, rhs):
+        super().__init__(op, rhs, ExtendedKrylovBasis(op, rhs.left))
+
+    def _step(self):
+        self.basis.step()
+
+    def residual(self, Y):
+        return self.op.tau_beta * np.linalg.norm(self.coupling @ Y)
+
+
+def _explicit_residual_norm(op, V, Y, rhs, timeop):
+    """||A_full V Y - V Y sigma^T - rhs.left rhs.right^T||_F from the factors.
+
+    The residual is [A_full V, V, left] @ [Y^T, -sigma Y^T, -right]^T; the
+    norm is that of the QR triangle of the tall left factor times the
+    ell-wide right one, so nothing of size n^d x ell or ell x ell is formed.
+    """
+    left = np.hstack([op.a_full() @ V, V, rhs.left])
+    right = np.hstack([Y.T, -(timeop.sigma @ Y.T), -rhs.right])
+    return float(np.linalg.norm(np.linalg.qr(left, mode="r") @ right.T))
+
+
+class _RationalProjection(_FullSpaceProjection):
+    """Rational Krylov with adaptive real shifts.
+
+    One sparse factorization of (Kbar - xi I) per step; the residual norm
+    follows the rational Arnoldi relation and costs O(n m (p+1)) via the
+    trace identity ||G C||_F^2 = trace((G^T G)(C C^T)). After a deflation
+    inside a block, or with a singular Hm, that relation no longer holds and
+    the residual is computed from the factors instead.
+    """
+
+    def __init__(self, op, rhs, timeop, seed):
+        s_min, s_max = spectral_bounds(op, seed=seed)
+        self.shifts = ShiftState(s_min=s_min, s_max=s_max)
+        self.timeop = timeop
+        super().__init__(op, rhs, RationalKrylovBasis(op, rhs.left))
+
+    def _step(self):
+        basis, state = self.basis, self.shifts
+        r = basis.width
+        state.ritz_values = np.linalg.eigvals(basis.state.T_full[:r, :r])
+        xi = next_shift(state)
+        for _ in range(4):
+            try:
+                basis.step(xi)
+                break
+            except ShiftSingular:
+                xi = xi * (1.0 + 1e-6) + 1e-12 * state.s_max
+        else:
+            raise ShiftSingular(f"could not place shift near {xi}")
+        state.used_shifts.append(xi)
+
+    def residual(self, Y):
+        basis, r = self.basis, Y.shape[0]
+        Vm = basis.V[:, :r]
+        if basis.mid_deflated:
+            return _explicit_residual_norm(self.op, Vm, Y, self.rhs, self.timeop)
+        Hbar = basis.Hbar
+        try:
+            Cc = Hbar[r:, :r] @ np.linalg.solve(Hbar[:r, :r], Y)
+        except np.linalg.LinAlgError:
+            return _explicit_residual_norm(self.op, Vm, Y, self.rhs, self.timeop)
+        Vlast, KVlast = basis.last_block()
+        G = self.shifts.used_shifts[-1] * Vlast - (KVlast - Vm @ (Vm.T @ KVlast))
+        val = np.trace((G.T @ G) @ (Cc @ Cc.T))
+        return self.op.tau_beta * np.sqrt(max(val, 0.0))
+
+
+# --- tensorized extended projection ----------------------------------------------
+
+
+def _one_dim_operator(factor, n, tau_beta):
+    return SpaceOperator(d=1, n=n, matrix=sp.csr_matrix(factor),
+                         boundary_indices=np.array([0, n - 1]),
+                         tau_beta=tau_beta, factors=[sp.csr_matrix(factor)])
+
+
+class _TensorizedProjection:
+    """One extended Krylov basis per dimension of a Kronecker-sum operator.
+
+    The reduced coefficient is the Kronecker sum of the small per-dimension
+    projections; the residual combines one coupling term per dimension
+    (squares add, the cross terms vanish by orthogonality). A dimension whose
+    basis breaks down is frozen while the others keep growing.
+    """
+
+    def __init__(self, op, groups):
+        self.tb = op.tau_beta
+        self.groups = groups
+        self.bases = [ExtendedKrylovBasis(_one_dim_operator(op.factors[i], op.n, self.tb),
+                                          np.hstack([g[i] for g in groups]))
+                      for i in range(op.d)]
+        self.frozen = [False] * op.d
+
+    def grow(self):
+        for i, basis in enumerate(self.bases):
+            if not self.frozen[i]:
+                try:
+                    basis.step()
+                except Breakdown:
+                    self.frozen[i] = True
+        return not all(self.frozen)
+
+    def reduced(self, m):
+        projs = [b.projections(min(m, b.n_blocks)) for b in self.bases]
+        self.r = [T.shape[0] for T, _, _ in projs]
+        self.couplings = [C for _, _, C in projs]
+        eyes = [np.eye(r) for r in self.r]
+        A_small = kron_vectors([I for _, I, _ in projs])
+        for i, (T, _, _) in enumerate(projs):
+            mats = list(eyes)
+            mats[i] = T
+            A_small = A_small + self.tb * kron_vectors(mats)
+        rhs_left = np.hstack([
+            kron_vectors([b.V[:, :r].T @ f for b, r, f in zip(self.bases, self.r, g)])
+            for g in self.groups])
+        return A_small, rhs_left
+
+    def residual(self, Y):
+        d = len(self.bases)
+        Yt = Y.reshape(tuple(reversed(self.r)) + (Y.shape[1],))
+        sq = 0.0
+        for i, C in enumerate(self.couplings):
+            if C.shape[0]:
+                contracted = np.tensordot(C, Yt, axes=(1, d - 1 - i))
+                sq += float((contracted ** 2).sum())
+        return self.tb * np.sqrt(sq)
+
+    def solution(self, Y):
+        return FactoredSolution(_layout(len(self.bases)),
+                                [b.V[:, :r].copy() for b, r in zip(self.bases, self.r)], Y)
+
+
+# --- the outer solvers -----------------------------------------------------------
 
 
 def solve_eksm(op, rhs, timeop, tol=1e-6, m_max=60, inner="fft_smw",
@@ -239,70 +449,9 @@ def solve_eksm(op, rhs, timeop, tol=1e-6, m_max=60, inner="fft_smw",
     invariant-subspace breakdown the coupling block is empty and the
     residual vanishes (lucky termination).
     """
-    t0 = time.perf_counter()
-    tb = op.tau_beta
-    L = timeop.ell
-    w = rhs.width
-    delta = rhs.initial_norm()
-    if delta == 0.0:
-        return _zero_solution("full", op.size, L, 1,
-                              eksm_memory_units(1, w, op.size, L), inner, t0)
-    basis = ExtendedKrylovBasis(op, rhs.left)
-    cache = SmwCache(timeop, rhs.right) if inner == "fft_smw" else None
-    PL = basis.V.T @ rhs.left
-    res_hist, used_inner = [], set()
-    converged = False
-    broke = False
-    Y = None
-    m = 0
-    for m in range(1, m_max + 1):
-        if not broke and basis.n_blocks < m + 1:
-            r_before = basis.width
-            try:
-                basis.step()
-                PL = np.vstack([PL, basis.V[:, r_before:].T @ rhs.left])
-            except Breakdown:
-                broke = True
-        m_eff = min(m, basis.n_blocks)
-        T_m, I_m, C = basis.projections(m_eff)
-        r = T_m.shape[0]
-        prob = ProjectedProblem(A_small=I_m + tb * T_m, rhs_left=PL[:r],
-                                rhs_right=rhs.right, timeop=timeop)
-        Y, used = solve_projected(prob, inner, cache)
-        used_inner.add(used)
-        rel = tb * np.linalg.norm(C @ Y) / delta
-        res_hist.append(rel)
-        if history is not None:
-            history.append({"m": m, "r": r, "Y": Y.copy(), "rel_residual": rel})
-        if rel <= tol:
-            converged = True
-            break
-        if broke:
-            break
-    r = Y.shape[0]
-    sol = FactoredSolution("full", [basis.V[:, :r].copy()], Y)
-    rep = SolveReport(iterations=m, residual_history=res_hist, delta=delta,
-                      converged=converged, basis_dims=[r],
-                      memory_units=eksm_memory_units(m, w, op.size, L),
-                      wall_time=time.perf_counter() - t0,
-                      inner_solver="fft_smw" if used_inner == {"fft_smw"} else "sequential")
-    return sol, rep
-
-
-# --- extended Krylov, tensorized ------------------------------------------------
-
-
-def _one_dim_operator(factor, n, tau_beta):
-    return SpaceOperator(d=1, n=n, matrix=sp.csr_matrix(factor),
-                         boundary_indices=np.array([0, n - 1]),
-                         tau_beta=tau_beta, factors=[sp.csr_matrix(factor)])
-
-
-def _kron_chain(mats):
-    out = mats[-1]
-    for M in reversed(mats[:-1]):
-        out = np.kron(out, M)
-    return out
+    return _outer_loop(lambda: _ExtendedProjection(op, rhs), [op.size],
+                       lambda m: eksm_memory_units(m, rhs.width, op.size, timeop.ell),
+                       rhs, timeop, tol, m_max, inner, history)
 
 
 def solve_eksm_separable(op, rhs, timeop, tol=1e-6, m_max=60,
@@ -310,11 +459,8 @@ def solve_eksm_separable(op, rhs, timeop, tol=1e-6, m_max=60,
     """Tensorized extended Krylov solve: one 1D subspace per dimension.
 
     Requires a pure Kronecker-sum operator and separable right-hand-side
-    factors. The reduced coefficient is the Kronecker sum of the small
-    per-dimension projections; the residual combines one coupling term per
-    dimension (squares add, the cross terms vanish by orthogonality).
+    factors.
     """
-    t0 = time.perf_counter()
     if op.factors is None:
         raise NotSeparable("space operator is not a Kronecker sum")
     if rhs.separable is None:
@@ -322,176 +468,18 @@ def solve_eksm_separable(op, rhs, timeop, tol=1e-6, m_max=60,
     d, n = op.d, op.n
     if d < 2:
         raise NotSeparable("tensorized path needs d >= 2")
-    tb = op.tau_beta
-    L = timeop.ell
-    groups = rhs.separable
-    blocks = []
-    for i in range(d):
-        cols = [np.asarray(g[0][i], dtype=float).reshape(n, -1) for g in groups]
-        blocks.append(np.hstack(cols))
-    widths = [b.shape[1] for b in blocks]
-    delta = rhs.initial_norm()
-    if delta == 0.0:
-        return _zero_solution("tensor%dd" % d, n, L, d,
-                              eksm_separable_memory_units(1, widths, n, L), inner, t0)
-    ops1d = [_one_dim_operator(op.factors[i], n, tb) for i in range(d)]
-    bases = [ExtendedKrylovBasis(ops1d[i], blocks[i]) for i in range(d)]
-    frozen = [False] * d
-    cache = SmwCache(timeop, rhs.right) if inner == "fft_smw" else None
-
-    res_hist, used_inner = [], set()
-    converged = False
-    Y = None
-    m = 0
-    for m in range(1, m_max + 1):
-        for i in range(d):
-            if not frozen[i] and bases[i].n_blocks < m + 1:
-                try:
-                    bases[i].step()
-                except Breakdown:
-                    frozen[i] = True
-        projs = [bases[i].projections(min(m, bases[i].n_blocks)) for i in range(d)]
-        rs = [p[0].shape[0] for p in projs]
-        eyes = [np.eye(r) for r in rs]
-        A_small = _kron_chain([p[1] for p in projs])
-        for i in range(d):
-            mats = list(eyes)
-            mats[i] = projs[i][0]
-            A_small = A_small + tb * _kron_chain(mats)
-        proj_groups = []
-        for g in groups:
-            pg = [bases[i].V[:, :rs[i]].T @ np.asarray(g[0][i], dtype=float).reshape(n, -1)
-                  for i in range(d)]
-            proj_groups.append(kron_vectors(pg))
-        rhs_left_proj = np.hstack(proj_groups)
-        prob = ProjectedProblem(A_small=A_small, rhs_left=rhs_left_proj,
-                                rhs_right=rhs.right, timeop=timeop)
-        Y, used = solve_projected(prob, inner, cache)
-        used_inner.add(used)
-        Yt = Y.reshape(tuple(reversed(rs)) + (L,))
-        sq = 0.0
-        for i in range(d):
-            C = projs[i][2]
-            if C.shape[0]:
-                contracted = np.tensordot(C, Yt, axes=(1, d - 1 - i))
-                sq += float((contracted ** 2).sum())
-        rel = tb * np.sqrt(sq) / delta
-        res_hist.append(rel)
-        if history is not None:
-            history.append({"m": m, "r": rs, "Y": Y.copy(), "rel_residual": rel})
-        if rel <= tol:
-            converged = True
-            break
-        if all(frozen):
-            break
-    rs = [p[0].shape[0] for p in projs]
-    sol = FactoredSolution("tensor%dd" % d,
-                           [bases[i].V[:, :rs[i]].copy() for i in range(d)], Y)
-    rep = SolveReport(iterations=m, residual_history=res_hist, delta=delta,
-                      converged=converged, basis_dims=rs,
-                      memory_units=eksm_separable_memory_units(m, widths, n, L),
-                      wall_time=time.perf_counter() - t0,
-                      inner_solver="fft_smw" if used_inner == {"fft_smw"} else "sequential")
-    return sol, rep
-
-
-# --- rational Krylov ------------------------------------------------------------
-
-
-def _explicit_residual_norm(op, V, Y, rhs, timeop):
-    U = V @ Y
-    R = op.a_full() @ U - U @ timeop.sigma.T.toarray() \
-        - rhs.left @ rhs.right.T
-    return float(np.linalg.norm(R))
+    groups = [[np.asarray(g[0][i], dtype=float).reshape(n, -1) for i in range(d)]
+              for g in rhs.separable]
+    widths = [sum(g[i].shape[1] for g in groups) for i in range(d)]
+    return _outer_loop(lambda: _TensorizedProjection(op, groups), [n] * d,
+                       lambda m: eksm_separable_memory_units(m, widths, n, timeop.ell),
+                       rhs, timeop, tol, m_max, inner, history)
 
 
 def solve_rksm(op, rhs, timeop, tol=1e-6, m_max=60, inner="fft_smw",
                history=None, seed=0):
-    """Rational Krylov solve with adaptive real shifts.
-
-    One sparse factorization of (Kbar - xi I) per iteration; the residual
-    norm follows the rational Arnoldi relation and costs O(n m (p+1)) via
-    the trace identity ||G C||_F^2 = trace((G^T G)(C C^T)).
-    """
-    t0 = time.perf_counter()
-    tb = op.tau_beta
-    L = timeop.ell
-    w = rhs.width
-    delta = rhs.initial_norm()
-    if delta == 0.0:
-        return _zero_solution("full", op.size, L, 1,
-                              rksm_memory_units(1, w, op.size, L), inner, t0)
-    s_min, s_max = spectral_bounds(op, seed=seed)
-    state = ShiftState(s_min=s_min, s_max=s_max)
-    basis = RationalKrylovBasis(op, rhs.left)
-    cache = SmwCache(timeop, rhs.right) if inner == "fft_smw" else None
-    PL = basis.V.T @ rhs.left
-    res_hist, used_inner = [], set()
-    converged = False
-    broke = False
-    Y = None
-    m = 0
-    for m in range(1, m_max + 1):
-        if not broke and basis.n_blocks < m + 1:
-            r_now = basis.state.block_bounds[m]
-            state.ritz_values = np.linalg.eigvals(basis.state.T_full[:r_now, :r_now])
-            xi = next_shift(state)
-            r_before = basis.width
-            try:
-                for attempt in range(4):
-                    try:
-                        basis.step(xi)
-                        break
-                    except ShiftSingular:
-                        xi = xi * (1.0 + 1e-6) + 1e-12 * state.s_max
-                else:
-                    raise ShiftSingular(f"could not place shift near {xi}")
-                state.used_shifts.append(xi)
-                if basis.width > r_before:
-                    PL = np.vstack([PL, basis.V[:, r_before:].T @ rhs.left])
-            except Breakdown:
-                broke = True
-        m_eff = min(m, basis.n_blocks)
-        T_m, I_m, _ = basis.projections(m_eff)
-        r = T_m.shape[0]
-        prob = ProjectedProblem(A_small=I_m + tb * T_m, rhs_left=PL[:r],
-                                rhs_right=rhs.right, timeop=timeop)
-        Y, used = solve_projected(prob, inner, cache)
-        used_inner.add(used)
-        if broke:
-            rel = 0.0
-        elif basis.mid_deflated and op.size * L <= 20_000_000:
-            rel = _explicit_residual_norm(op, basis.V[:, :r], Y, rhs, timeop) / delta
-        else:
-            Hbar = basis.Hbar
-            Hm = Hbar[:r, :r]
-            EH = Hbar[r:, :r]
-            try:
-                Cc = EH @ np.linalg.solve(Hm, Y)
-            except np.linalg.LinAlgError:
-                Cc = None
-            if Cc is None:
-                rel = _explicit_residual_norm(op, basis.V[:, :r], Y, rhs, timeop) / delta
-            else:
-                Vlast, KVlast = basis.last_block()
-                Vm = basis.V[:, :r]
-                G = state.used_shifts[-1] * Vlast - (KVlast - Vm @ (Vm.T @ KVlast))
-                val = np.trace((G.T @ G) @ (Cc @ Cc.T))
-                rel = tb * np.sqrt(max(val, 0.0)) / delta
-        res_hist.append(rel)
-        if history is not None:
-            history.append({"m": m, "r": r, "Y": Y.copy(), "rel_residual": rel,
-                            "shifts": list(state.used_shifts)})
-        if rel <= tol:
-            converged = True
-            break
-        if broke:
-            break
-    r = Y.shape[0]
-    sol = FactoredSolution("full", [basis.V[:, :r].copy()], Y)
-    rep = SolveReport(iterations=m, residual_history=res_hist, delta=delta,
-                      converged=converged, basis_dims=[r],
-                      memory_units=rksm_memory_units(m, w, op.size, L),
-                      wall_time=time.perf_counter() - t0,
-                      inner_solver="fft_smw" if used_inner == {"fft_smw"} else "sequential")
-    return sol, rep
+    """Rational Krylov solve with adaptive real shifts; ``seed`` drives the
+    estimate of the spectral interval the shifts are chosen from."""
+    return _outer_loop(lambda: _RationalProjection(op, rhs, timeop, seed), [op.size],
+                       lambda m: rksm_memory_units(m, rhs.width, op.size, timeop.ell),
+                       rhs, timeop, tol, m_max, inner, history)

@@ -77,18 +77,6 @@ class TimeOperator:
     corr_alpha: np.ndarray = field(repr=False)
     corr_right: np.ndarray = field(repr=False)
 
-    def circulant_first_column(self):
-        col = np.zeros(self.ell)
-        col[1:self.scheme.s + 1] = self.scheme.alphas
-        return col
-
-    def circulant_dense(self):
-        col = self.circulant_first_column()
-        C = np.empty((self.ell, self.ell))
-        for k in range(self.ell):
-            C[:, k] = np.roll(col, k)
-        return C
-
 
 def _alpha_toeplitz(alphas):
     """Upper-triangular Toeplitz alpha_s with (i, q) entry alpha_{s-q+i}."""

@@ -6,41 +6,9 @@ from hypothesis import strategies as st
 
 from evosylv.errors import NonDiagonalizable, SingularMatrix
 from evosylv.kernels import (circulant_eigenvalues, dense_eig, fft, ifft,
-                             qr_economy, sparse_factorize, sparse_solve)
+                             sparse_factorize, sparse_solve)
 
 rng = np.random.default_rng(1234)
-
-
-class TestQrEconomy:
-    def test_orthonormal_input_returned(self):
-        A = np.eye(3)[:, :2]
-        Q, R = qr_economy(A)
-        assert np.allclose(np.abs(Q), A)          # columns up to sign
-        assert np.allclose(Q @ R, A)
-        assert np.allclose(np.abs(R), np.eye(2))
-
-    def test_three_four_five(self):
-        Q, R = qr_economy(np.array([[3.0], [4.0]]))
-        assert np.allclose(np.abs(Q), [[0.6], [0.8]])
-        assert np.allclose(np.abs(R), [[5.0]])
-
-    def test_random_properties(self):
-        A = rng.standard_normal((8, 3))
-        Q, R = qr_economy(A)
-        assert np.linalg.norm(Q.T @ Q - np.eye(3)) < 1e-12
-        assert np.linalg.norm(Q @ R - A) < 1e-12 * np.linalg.norm(A)
-        assert np.allclose(R, np.triu(R))
-
-    def test_idempotence(self):
-        A = rng.standard_normal((10, 4))
-        Q, _ = qr_economy(A)
-        Q2, R2 = qr_economy(Q)
-        assert np.linalg.norm(np.abs(R2) - np.eye(4)) < 1e-12
-        assert np.linalg.norm(Q2 @ R2 - Q) < 1e-12
-
-    def test_wide_input_rejected(self):
-        with pytest.raises(ValueError):
-            qr_economy(np.ones((2, 3)))
 
 
 class TestDenseEig:
@@ -149,3 +117,5 @@ class TestSparse:
             sparse_factorize(sp.csr_matrix((2, 2)))
         with pytest.raises(SingularMatrix):
             sparse_factorize(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+        with pytest.raises(SingularMatrix):
+            sparse_factorize(sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 0.0]])))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from evosylv import krylov, solver
 from evosylv.discretization import (LowRankRhs, assemble_rhs,
                                     assemble_space_operator, kron_vectors,
                                     problem_spec, square_grid)
-from evosylv.errors import IndexOutOfRange, NotSeparable
+from evosylv.errors import IndexOutOfRange, NotSeparable, ShiftSingular
 from evosylv.oracles import timestep_solve
 from evosylv.presets import get_preset
 from evosylv.solver import (FactoredSolution, eksm_memory_units,
@@ -49,6 +50,12 @@ class TestEksm:
         sol, rep = solve_eksm(op, zero, top, tol=1e-8)
         assert rep.converged and rep.iterations == 1
         assert np.allclose(materialize(sol), 0.0)
+
+    def test_unknown_inner_rejected_before_zero_return(self):
+        op, rhs, top = small_heat_problem()
+        zero = LowRankRhs(left=np.zeros((op.size, 1)), right=np.zeros((top.ell, 1)))
+        with pytest.raises(ValueError, match="bogus"):
+            solve_eksm(op, zero, top, inner="bogus")
 
     def test_matches_oracle(self):
         op, rhs, top = small_heat_problem()
@@ -225,6 +232,69 @@ class TestRksm:
         op, rhs, top = small_heat_problem()
         sol, rep = solve_rksm(op, rhs, top, tol=1e-9, m_max=40)
         assert rep.memory_units == (rep.iterations + 1) * rhs.width * (op.size + top.ell)
+
+    def test_explicit_residual_from_factors(self):
+        op, rhs, top = small_heat_problem(n=20, ell=9)
+        V = np.linalg.qr(rng.standard_normal((op.size, 5)))[0]
+        Y = rng.standard_normal((5, top.ell))
+        dense = np.linalg.norm(explicit_residual(op, V @ Y, rhs, top))
+        assert solver._explicit_residual_norm(op, V, Y, rhs, top) == \
+            pytest.approx(dense, rel=1e-12)
+
+    def test_mid_deflation_uses_explicit_residual(self, monkeypatch):
+        # start block [b, v] with v an eigenvector of Kbar (a sine mode, zero
+        # on the boundary) and b orthogonal to it: the resolvent maps v into
+        # span{v}, so the second column deflates at the first step
+        op, rhs, top = small_heat_problem(n=24, ell=12)
+        v = np.sin(np.pi * np.linspace(0.0, 1.0, op.size))
+        b = rhs.left[:, 0] - (rhs.left[:, 0] @ v) / (v @ v) * v
+        right = np.column_stack([np.eye(top.ell)[:, 0], np.linspace(1.0, 0.2, top.ell)])
+        start = LowRankRhs(np.column_stack([b, v]), right)
+        calls = []
+        original = solver._explicit_residual_norm
+
+        def explicit(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_explicit_residual_norm", explicit)
+        hist = []
+        sol, rep = solve_rksm(op, start, top, tol=1e-10, m_max=30, history=hist)
+        assert rep.converged and len(calls) == rep.iterations
+        for entry in hist:
+            V = sol.bases[0][:, :entry["r"]]
+            R = explicit_residual(op, V @ entry["Y"], start, top)
+            rel = np.linalg.norm(R) / rep.delta
+            assert abs(rel - entry["rel_residual"]) <= 1e-8 * rel + 1e-12
+        Uo = timestep_solve(op, start, top).U
+        assert np.linalg.norm(materialize(sol) - Uo) <= 1e-8 * np.linalg.norm(Uo)
+
+    def test_singular_shift_is_nudged(self, monkeypatch):
+        # 1/tau_beta is an exact eigenvalue of Kbar (its boundary rows are
+        # (1/tau_beta) e_j^T), so the first factorization is singular
+        op, rhs, top = small_heat_problem(n=24, ell=12)
+        original_shift = solver.next_shift
+
+        def first_shift_exact(state):
+            return 1.0 / op.tau_beta if not state.used_shifts else original_shift(state)
+
+        monkeypatch.setattr(solver, "next_shift", first_shift_exact)
+        raised = []
+        original_step = krylov.RationalKrylovBasis.step
+
+        def step(basis, shift):
+            try:
+                return original_step(basis, shift)
+            except ShiftSingular:
+                raised.append(shift)
+                raise
+
+        monkeypatch.setattr(krylov.RationalKrylovBasis, "step", step)
+        sol, rep = solve_rksm(op, rhs, top, tol=1e-10, m_max=40)
+        assert raised == [1.0 / op.tau_beta]
+        assert rep.converged
+        Uo = timestep_solve(op, rhs, top).U
+        assert np.linalg.norm(materialize(sol) - Uo) <= 1e-8 * np.linalg.norm(Uo)
 
     def test_seed_determinism(self):
         op, rhs, top = small_heat_problem()
