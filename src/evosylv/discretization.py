@@ -14,6 +14,13 @@ Conventions (pinned by tests):
   sums, d >= 2). The right-hand side assembly reads those extra couplings
   directly off the assembled matrix, so boundary data are reproduced exactly
   for every dimension and BDF order.
+* The source part of the right-hand side stays factored. Without an
+  interior source f only the boundary rows can be nonzero, so only they are
+  sampled; with f every row is. Samples are taken SOURCE_CHUNK time steps
+  at a time and each chunk is folded into the running factor by a truncated
+  SVD of tolerance SOURCE_TOL/sqrt(number of chunks), which keeps the whole
+  factor within SOURCE_TOL ||F||_F of the source F. No array of size
+  n^d x ell is formed, and a problem without f and g samples nothing.
 """
 
 from dataclasses import dataclass, field
@@ -396,6 +403,12 @@ class LowRankRhs:
         return float(np.sqrt(max(np.trace(g), 0.0)))
 
 
+#: Time steps per chunk when ``_source_factor`` streams the source columns.
+SOURCE_CHUNK = 64
+#: Relative Frobenius tolerance of the compressed source factor.
+SOURCE_TOL = 1e-12
+
+
 def compress_snapshots(F, tol):
     """Truncated SVD: minimal-rank F1 F2^T with ||F - F1 F2^T||_F <= tol ||F||_F."""
     F = np.asarray(F, dtype=float)
@@ -449,14 +462,6 @@ def _initial_value_list(spec):
     return us
 
 
-def _boundary_g_values(spec, t):
-    coords = boundary_coordinates(spec.grid)
-    if spec.g is None:
-        return np.zeros(len(coords[0]))
-    return np.broadcast_to(np.asarray(spec.g(*coords, t), dtype=float),
-                           coords[0].shape).astype(float)
-
-
 def _f_separable_usable(spec):
     """Separable source path applies when g contributes nothing and the
     spatial factors vanish on the boundary (so no boundary correction is
@@ -472,7 +477,7 @@ def _f_separable_usable(spec):
     return True
 
 
-def assemble_rhs(spec, op, compress_tol=1e-12):
+def assemble_rhs(spec, op):
     """Factored right-hand side [init cols, F1][e_1..e_s, tau*beta*F2]^T.
 
     The system has L = ell - s + 1 columns for time steps t_s .. t_ell; the s
@@ -480,6 +485,13 @@ def assemble_rhs(spec, op, compress_tol=1e-12):
     Boundary rows of the source part enforce the Dirichlet data exactly:
     (g(t_k) - sum_i alpha_i g(t_{k-i}))/(tau*beta) plus the compensation for
     whatever the assembled boundary rows do beyond the identity.
+
+    A separable source that vanishes on the boundary enters through its
+    spatial and temporal factors. Any other source is streamed by
+    ``_source_factor``: SOURCE_CHUNK time steps at a time, on the boundary
+    rows only when there is no interior f, folded into a factor that keeps
+    ||F - F1 F2^T||_F <= SOURCE_TOL ||F||_F. Nothing of size n^d x L is
+    formed.
     """
     grid, scheme = spec.grid, spec.scheme
     s, ell, tb = scheme.s, grid.ell, spec.tau_beta
@@ -517,11 +529,10 @@ def assemble_rhs(spec, op, compress_tol=1e-12):
         pieces_left.append(F1)
         pieces_right.append(tb * F2)
     else:
-        Fd = _dense_source_columns(spec, op, us, L)
-        if np.linalg.norm(Fd) > 0:
-            F1, F2 = compress_snapshots(Fd, compress_tol)
-            pieces_left.append(F1)
-            pieces_right.append(tb * F2)
+        source = _source_factor(spec, op, L)
+        if source is not None:
+            pieces_left.append(source[0])
+            pieces_right.append(source[1])
 
     if not pieces_left:
         pieces_left = [np.zeros((op.size, 1))]
@@ -534,30 +545,65 @@ def assemble_rhs(spec, op, compress_tol=1e-12):
     return LowRankRhs(left=left, right=right, separable=separable)
 
 
-def _dense_source_columns(spec, op, us, L):
-    """n^d x L matrix of source samples f_k (interior) and boundary terms."""
+def _source_factor(spec, op, L):
+    """(F1, tau*beta*F2) with F1 F2^T the source columns, or None if they vanish.
+
+    Column q belongs to step k = s + q: f(t_k) on the interior rows and the
+    Dirichlet term of ``assemble_rhs`` on the boundary rows. Each chunk C
+    is folded into the running factor U W^T as
+    ``compress_snapshots([U, C], SOURCE_TOL/sqrt(chunks))``; W keeps
+    orthonormal columns, so the fold errors are Frobenius-orthogonal and
+    add up to at most SOURCE_TOL times the norm of the source.
+    """
+    if spec.f is None and spec.g is None:
+        return None
     grid, scheme = spec.grid, spec.scheme
-    s, tau, tb = scheme.s, grid.tau, spec.tau_beta
-    alphas = scheme.alphas
+    s, alphas, tau, tb = scheme.s, scheme.alphas, grid.tau, spec.tau_beta
     bnd = op.boundary_indices
-    Fd = np.zeros((op.size, L))
-    if spec.f is not None:
-        for q in range(L):
-            tk = tau * (s + q)
-            Fd[:, q] = sample_space_function(grid, lambda *x: spec.f(*x, tk))
-        Fd[bnd, :] = 0.0
+    if spec.f is None:
+        at_bnd = slice(None)
+        coords = g_coords = boundary_coordinates(grid)
+    else:
+        at_bnd = bnd
+        mesh = np.meshgrid(*grid.axes(), indexing="ij")
+        coords = [np.ravel(m, order="F") for m in mesh]
+        g_coords = [c[bnd] for c in coords]
+    rows = len(coords[0])
     if spec.g is not None:
-        defect = op.boundary_defect()
-        gb = {k: _boundary_g_values(spec, tau * k) for k in range(L + s)}
-        for q in range(L):
-            k = s + q
-            tele = gb[k].copy()
+        defect = op.boundary_defect()[:, bnd]
+
+    def sample(fn, at, t):
+        return np.broadcast_to(np.asarray(fn(*at, t), dtype=float), at[0].shape)
+
+    starts = range(0, L, SOURCE_CHUNK)
+    tol = SOURCE_TOL / np.sqrt(len(starts))
+    U, W = np.zeros((rows, 0)), np.zeros((0, 0))
+    for q0 in starts:
+        steps = np.arange(s + q0, s + min(q0 + SOURCE_CHUNK, L))
+        C = np.zeros((rows, len(steps)))
+        if spec.f is not None:
+            for j, k in enumerate(steps):
+                C[:, j] = sample(spec.f, coords, tau * k)
+            C[bnd] = 0.0
+        if spec.g is not None:
+            # g at steps[0] - s .. steps[-1]: column j + s is step steps[j]
+            G = np.column_stack([sample(spec.g, g_coords, tau * k)
+                                 for k in range(steps[0] - s, steps[-1] + 1)])
+            now = G[:, s:]
+            tele = now.copy()
             for i in range(1, s + 1):
-                tele -= alphas[i - 1] * gb[k - i]
-            ghat = np.zeros(op.size)
-            ghat[bnd] = gb[k]
-            Fd[bnd, q] = (tele + defect @ ghat) / tb
-    return Fd
+                tele -= alphas[i - 1] * G[:, s - i:s - i + len(steps)]
+            C[at_bnd] = (tele + defect @ now) / tb
+        r = U.shape[1]
+        U, Wn = compress_snapshots(np.hstack([U, C]), tol)
+        W = np.vstack([W @ Wn[:r], Wn[r:]])
+    if U.shape[1] == 0:
+        return None
+    if spec.f is None:
+        left = np.zeros((op.size, U.shape[1]))
+        left[bnd] = U
+        U = left
+    return U, tb * W
 
 
 def _separable_groups(spec, op, left, right, L, tb):

@@ -23,6 +23,14 @@ def test_run_uses_tensorized_path_when_separable():
     assert rec_off.error_vs_oracle <= 1e-6
 
 
+@pytest.mark.parametrize("method", ["eksm", "rksm"])
+def test_example3_boundary_data_matches_oracle(method):
+    # the hot wall enters only through the streamed boundary-row source
+    rec = run(RunConfig(preset="example3", n=16, ell=64, epsilon=0.01,
+                        method=method))
+    assert rec.error_vs_oracle <= 1e-5
+
+
 def test_separable_on_rejected_when_not_separable(tmp_path):
     with pytest.raises(ConfigError):
         run(RunConfig(preset="example3", n=8, ell=8, separable="on"))

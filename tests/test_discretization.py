@@ -1,8 +1,13 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from evosylv.discretization import (Grid, assemble_rhs, assemble_space_operator,
+from evosylv import discretization
+from evosylv.discretization import (SOURCE_CHUNK, Grid, assemble_rhs,
+                                    assemble_space_operator,
                                     boundary_index_set, compress_snapshots,
                                     first_derivative_1d, kron_vectors,
                                     laplacian_1d, modify_for_boundary,
@@ -18,6 +23,38 @@ rng = np.random.default_rng(5)
 def heat_spec(d, n, ell, u0=None, g=None, f=None, s=1, T=1.0, **kw):
     grid = square_grid(d, n, ell, T=T)
     return problem_spec("heat", grid, s=s, u0=u0, g=g, f=f, **kw)
+
+
+def dense_source_factor(spec, op, L):
+    """The former source builder, kept as the oracle: every row of every
+    step in one n^d x L matrix, then one truncated SVD."""
+    grid, scheme = spec.grid, spec.scheme
+    s, tau, tb, alphas = scheme.s, grid.tau, spec.tau_beta, scheme.alphas
+    bnd = op.boundary_indices
+    Fd = np.zeros((op.size, L))
+    if spec.f is not None:
+        for q in range(L):
+            tk = tau * (s + q)
+            Fd[:, q] = sample_space_function(grid, lambda *x: spec.f(*x, tk))
+        Fd[bnd, :] = 0.0
+    if spec.g is not None:
+        defect = op.boundary_defect()
+        mesh = np.meshgrid(*grid.axes(), indexing="ij")
+        coords = [np.ravel(m, order="F")[bnd] for m in mesh]
+        gb = [np.broadcast_to(np.asarray(spec.g(*coords, tau * k), dtype=float),
+                              coords[0].shape) for k in range(L + s)]
+        for q in range(L):
+            k = s + q
+            tele = gb[k].copy()
+            for i in range(1, s + 1):
+                tele -= alphas[i - 1] * gb[k - i]
+            ghat = np.zeros(op.size)
+            ghat[bnd] = gb[k]
+            Fd[bnd, q] = (tele + defect @ ghat) / tb
+    if np.linalg.norm(Fd) == 0:
+        return None
+    F1, F2 = compress_snapshots(Fd, 1e-12)
+    return F1, tb * F2
 
 
 class TestOneDimOperators:
@@ -310,6 +347,84 @@ class TestRhsAssembly:
         expected = np.sqrt(u0 @ u0 + tb**2 * np.trace((F1.T @ F1) @ (F2.T @ F2))
                            + 2 * tb * f1 @ u0)
         assert abs(rhs.initial_norm() - expected) <= 1e-12 * expected
+
+
+def _hot_wall_bdf3(n, ell):
+    spec = get_preset("example3", n, ell, epsilon=0.01)
+    u0 = sample_space_function(spec.grid, spec.u0)
+    return dataclasses.replace(spec, scheme=bdf_coefficients(3),
+                               extra_initial_values=[u0, u0])
+
+
+def _heat3d_moving_g(n, ell):
+    g = lambda x, y, z, t: np.sin(3 * t + x) * (1 + y * z)
+    return heat_spec(3, n, ell, u0=lambda x, y, z: g(x, y, z, 0.0), g=g)
+
+
+def _bdf2_f_and_g(n, ell):
+    g = lambda x, y, t: np.cos(t) * x + y**2
+    f = lambda x, y, t: np.exp(-t) * np.sin(np.pi * x) * y + t * x * y
+    spec = heat_spec(2, n, ell, u0=lambda x, y: g(x, y, 0.0), g=g, f=f, s=2)
+    extra = sample_space_function(spec.grid, lambda x, y: g(x, y, spec.grid.tau))
+    return dataclasses.replace(spec, extra_initial_values=[extra])
+
+
+def _wall_1d(n, ell):
+    wall = lambda x: np.where(x == 0.0, 1.0, 0.0)
+    return heat_spec(1, n, ell, u0=wall, g=lambda x, t: wall(x))
+
+
+class TestStreamedSource:
+    """assemble_rhs against the former dense builder (``dense_source_factor``)."""
+
+    @pytest.mark.parametrize("build,width", [
+        (lambda: get_preset("example3", 10, 150, epsilon=0.01), 2),
+        (lambda: _hot_wall_bdf3(8, 140), None),
+        (lambda: _heat3d_moving_g(5, 150), None),
+        (lambda: _bdf2_f_and_g(7, 140), None),
+        (lambda: heat_spec(2, 7, 140, f=lambda x, y, t: np.cos(t) * (1 + x * y)), 1),
+        (lambda: _wall_1d(8, 150), 1),
+        (lambda: get_preset("example2", 8, 150), 1),
+        (lambda: get_preset("example3", 6, SOURCE_CHUNK - 1, epsilon=0.5), 2),
+        (lambda: get_preset("example3", 6, SOURCE_CHUNK, epsilon=0.5), 2),
+        (lambda: get_preset("example3", 6, SOURCE_CHUNK + 1, epsilon=0.5), 2),
+    ], ids=["example3", "example3_bdf3", "heat3d_moving_g", "bdf2_f_and_g",
+            "f_nonzero_on_boundary", "wall_1d", "no_source", "chunk_minus_1",
+            "chunk", "chunk_plus_1"])
+    def test_matches_dense_builder(self, build, width, monkeypatch):
+        spec = build()
+        op = assemble_space_operator(spec)
+        rhs = assemble_rhs(spec, op)
+        monkeypatch.setattr(discretization, "_source_factor", dense_source_factor)
+        ref = assemble_rhs(spec, op)
+        assert rhs.width == ref.width
+        if width is not None:
+            assert rhs.width == width
+        dense, ref_dense = rhs.dense(), ref.dense()
+        assert np.linalg.norm(dense - ref_dense) <= 1e-12 * np.linalg.norm(ref_dense)
+
+    def test_no_source_builds_nothing(self):
+        spec = get_preset("example2", 8, 20)
+        op = assemble_space_operator(spec)
+        assert discretization._source_factor(spec, op, 20) is None
+
+    @pytest.mark.parametrize("build,bound_mib", [
+        (lambda: get_preset("example2", 256, 16384), 64),
+        (lambda: get_preset("example3", 96, 2048, epsilon=0.01), 32),
+        (lambda: heat_spec(2, 64, 2048, f=lambda x, y, t: np.sin(t) * x * y), 16),
+    ], ids=["example2_no_source", "example3_boundary", "heat2d_interior_f"])
+    def test_assembly_memory_bound(self, build, bound_mib):
+        # one n^d x L array alone would break the bound twice over
+        spec = build()
+        op = assemble_space_operator(spec)
+        assert op.size * spec.grid.ell * 8 >= 2 * bound_mib * 2**20
+        tracemalloc.start()
+        try:
+            assemble_rhs(spec, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
 
 class TestCompressSnapshots:
