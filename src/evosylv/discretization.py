@@ -13,7 +13,13 @@ Conventions (pinned by tests):
   as the identity plus couplings confined to the boundary faces (Kronecker
   sums, d >= 2). The right-hand side assembly reads those extra couplings
   directly off the assembled matrix, so boundary data are reproduced exactly
-  for every dimension and BDF order.
+  for every dimension and BDF order. These boundary rows and
+  ``boundary_defect`` serve the full-grid right-hand side and the oracles
+  only: the solvers call ``eliminate_boundary``, which solves the closed
+  boundary subsystem on its own and leaves the interior unknowns with
+  (I + tau*beta*K_II) U_I - U_I Sigma^T = F_I - tau*beta*K_IB U_B, the
+  same discrete system with the Dirichlet values moved to the right-hand
+  side.
 * The source part of the right-hand side stays factored. Without an
   interior source f only the boundary rows can be nonzero, so only they are
   sampled; with f every row is. Samples are taken SOURCE_CHUNK time steps
@@ -28,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (MissingInitialValues, NonSeparableWind, TooFewSteps,
-                     UnsupportedDimension)
+from .errors import (MissingInitialValues, NonSeparableWind, SingularMatrix,
+                     TooFewSteps, UnsupportedDimension)
 from .kernels import sparse_factorize, sparse_solve
 from .timeops import BdfScheme, bdf_coefficients
 
@@ -249,17 +255,21 @@ class SpaceOperator:
     """Boundary-modified stiffness Kbar_d with its structure metadata.
 
     factors holds the per-dimension 1D operators when (and only when) matrix
-    equals their Kronecker sum; the tensorized solver requires it.
+    equals their Kronecker sum; the tensorized solver requires it. An
+    operator without boundary indices, such as ``interior()``, has no
+    Dirichlet rows: its a_full is I + tau*beta*matrix.
     """
 
     d: int
     n: int
     matrix: sp.csr_matrix
-    boundary_indices: np.ndarray
     tau_beta: float
+    boundary_indices: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=int))
     factors: list = None
     _lu: object = field(default=None, repr=False)
     _a_full_lu: object = field(default=None, repr=False)
+    _interior: object = field(default=None, repr=False)
 
     @property
     def size(self):
@@ -268,6 +278,27 @@ class SpaceOperator:
     @property
     def is_kron_sum(self):
         return self.factors is not None
+
+    def interior_indices(self):
+        """Sorted linear indices of the nodes that are not boundary nodes."""
+        return np.setdiff1d(np.arange(self.size), self.boundary_indices)
+
+    def interior(self):
+        """The operator of the interior unknowns, Kbar[I][:, I] on n - 2
+        nodes per direction; cached, and the operator itself when it has
+        no boundary. With the first coordinate fastest, the interior nodes
+        keep the ordering of an (n-2)^d grid, so a Kronecker sum restricts
+        factor by factor."""
+        if not len(self.boundary_indices):
+            return self
+        if self._interior is None:
+            keep = self.interior_indices()
+            factors = None if self.factors is None else \
+                [sp.csr_matrix(F)[1:-1, 1:-1] for F in self.factors]
+            self._interior = SpaceOperator(
+                d=self.d, n=self.n - 2, matrix=self.matrix[keep][:, keep].tocsr(),
+                tau_beta=self.tau_beta, factors=factors)
+        return self._interior
 
     def a_full(self):
         """(I - P) + tau*beta*Kbar, the actual Sylvester coefficient matrix."""
@@ -462,6 +493,14 @@ def _initial_value_list(spec):
     return us
 
 
+def _vanishes_on_boundary(vals):
+    """True when a sampled 1D factor is zero at both endpoints, up to 1e-13
+    of its largest entry."""
+    vals = np.asarray(vals, dtype=float)
+    scale = np.abs(vals).max()
+    return scale == 0 or np.abs(vals[[0, -1]]).max() <= 1e-13 * scale
+
+
 def _f_separable_usable(spec):
     """Separable source path applies when g contributes nothing and the
     spatial factors vanish on the boundary (so no boundary correction is
@@ -469,12 +508,8 @@ def _f_separable_usable(spec):
     if spec.f_separable is None or spec.g is not None:
         return False
     spatial, _ = spec.f_separable
-    for dim, fn in enumerate(spatial):
-        vals = np.asarray(fn(spec.grid.axes()[dim]), dtype=float)
-        scale = np.abs(vals).max()
-        if scale > 0 and max(abs(vals[0]), abs(vals[-1])) > 1e-13 * scale:
-            return False
-    return True
+    return all(_vanishes_on_boundary(fn(spec.grid.axes()[dim]))
+               for dim, fn in enumerate(spatial))
 
 
 def assemble_rhs(spec, op):
@@ -549,11 +584,8 @@ def _source_factor(spec, op, L):
     """(F1, tau*beta*F2) with F1 F2^T the source columns, or None if they vanish.
 
     Column q belongs to step k = s + q: f(t_k) on the interior rows and the
-    Dirichlet term of ``assemble_rhs`` on the boundary rows. Each chunk C
-    is folded into the running factor U W^T as
-    ``compress_snapshots([U, C], SOURCE_TOL/sqrt(chunks))``; W keeps
-    orthonormal columns, so the fold errors are Frobenius-orthogonal and
-    add up to at most SOURCE_TOL times the norm of the source.
+    Dirichlet term of ``assemble_rhs`` on the boundary rows. Each chunk is
+    folded into the running factor by ``_fold``.
     """
     if spec.f is None and spec.g is None:
         return None
@@ -594,9 +626,7 @@ def _source_factor(spec, op, L):
             for i in range(1, s + 1):
                 tele -= alphas[i - 1] * G[:, s - i:s - i + len(steps)]
             C[at_bnd] = (tele + defect @ now) / tb
-        r = U.shape[1]
-        U, Wn = compress_snapshots(np.hstack([U, C]), tol)
-        W = np.vstack([W @ Wn[:r], Wn[r:]])
+        U, W = _fold(U, W, C, tol)
     if U.shape[1] == 0:
         return None
     if spec.f is None:
@@ -604,6 +634,83 @@ def _source_factor(spec, op, L):
         left[bnd] = U
         U = left
     return U, tb * W
+
+
+def _fold(U, W, C, tol):
+    """Fold the column block C into the factor U W^T of the blocks before it.
+
+    Returns (U', W') with U' W'^T = compress_snapshots([U, C], tol) applied
+    to [U W^T, C]. W keeps orthonormal columns, so the errors of successive
+    folds are Frobenius-orthogonal: with tol = SOURCE_TOL/sqrt(folds) they
+    add up to at most SOURCE_TOL times the norm of all the blocks.
+    """
+    r = U.shape[1]
+    U, Wn = compress_snapshots(np.hstack([U, C]), tol)
+    return U, np.vstack([W @ Wn[:r], Wn[r:]])
+
+
+def _boundary_solution(op, rhs, scheme):
+    """Factors (G1, G2) of the boundary block U_B = G1 G2^T.
+
+    The boundary rows of a_full have only boundary columns, so U_B solves
+    the closed subsystem A_BB U_B - U_B Sigma^T = left_B right^T with
+    A_BB = a_full()[bnd][:, bnd]. One sparse LU of A_BB, then the BDF
+    recursion A_BB u_k = b_k + sum_j alpha_j u_{k-j} runs SOURCE_CHUNK steps
+    at a time and each chunk is folded into the factor by ``_fold``; the
+    memory stays O(|bnd| (rank + SOURCE_CHUNK)). Initial values that
+    disagree with g(0) on the boundary need no special case.
+    """
+    bnd = op.boundary_indices
+    lu = sparse_factorize(op.a_full()[bnd][:, bnd])
+    left_B, right = rhs.left[bnd], rhs.right
+    s, back = scheme.s, scheme.alphas[::-1]
+    starts = range(0, right.shape[0], SOURCE_CHUNK)
+    tol = SOURCE_TOL / np.sqrt(len(starts))
+    U, W = np.zeros((len(bnd), 0)), np.zeros((0, 0))
+    # row j of X is u_k for k = q0 + j - s; the first s rows carry the
+    # previous chunk's last steps (zeros before the first step)
+    X = np.zeros((s, len(bnd)))
+    for q0 in starts:
+        X = np.vstack([X[-s:], right[q0:q0 + SOURCE_CHUNK] @ left_B.T])
+        for j in range(s, X.shape[0]):
+            X[j] = lu.solve(X[j] + back @ X[j - s:j])
+        if not np.all(np.isfinite(X)):
+            raise SingularMatrix("boundary recursion produced non-finite values")
+        U, W = _fold(U, W, X[s:].T, tol)
+    return U, W
+
+
+def eliminate_boundary(op, rhs, scheme):
+    """Split the all-at-once equation into its boundary and interior blocks.
+
+    Returns (op.interior(), interior right-hand side, boundary factors).
+    The boundary block U_B = G1 G2^T comes from ``_boundary_solution``; the
+    factors are None when left_B right^T is at most SOURCE_TOL of the whole
+    right-hand side, and U_B is then taken as zero. The interior unknowns
+    solve (I + tau*beta*K_II) U_I - U_I Sigma^T = F_I - tau*beta*K_IB U_B,
+    whose right-hand side [left_I, -tau*beta*K_IB G1] [right, G2]^T is
+    recompressed: QR of each factor, then ``compress_snapshots`` of the
+    small core with SOURCE_TOL. Without a boundary block the interior rows
+    of ``left`` are kept as they are, with the separable groups restricted
+    to the interior nodes.
+    """
+    op_I = op.interior()
+    bnd = op.boundary_indices
+    if not len(bnd):
+        return op_I, rhs, None
+    keep = op.interior_indices()
+    left_I = rhs.left[keep]
+    if LowRankRhs(rhs.left[bnd], rhs.right).initial_norm() <= \
+            SOURCE_TOL * rhs.initial_norm():
+        separable = None if rhs.separable is None else \
+            [([f[1:-1] for f in facs], cols) for facs, cols in rhs.separable]
+        return op_I, LowRankRhs(left_I, rhs.right, separable), None
+    G1, G2 = _boundary_solution(op, rhs, scheme)
+    coupling = -op.tau_beta * (op.matrix[keep][:, bnd] @ G1)
+    Q1, R1 = np.linalg.qr(np.hstack([left_I, coupling]))
+    Q2, R2 = np.linalg.qr(np.hstack([rhs.right, G2]))
+    C1, C2 = compress_snapshots(R1 @ R2.T, SOURCE_TOL)
+    return op_I, LowRankRhs(Q1 @ C1, Q2 @ C2), (G1, G2)
 
 
 def _separable_groups(spec, op, left, right, L, tb):
@@ -619,6 +726,9 @@ def _separable_groups(spec, op, left, right, L, tb):
         facs = [np.asarray(fn(spec.grid.axes()[dim]), dtype=float)[:, None]
                 for dim, fn in enumerate(spec.u0_separable)]
         if np.linalg.norm(kron_vectors(facs)[:, 0] - u0_vec) > 1e-12 * np.linalg.norm(u0_vec):
+            return None
+        # the tensorized solver has no boundary block to add back
+        if not all(_vanishes_on_boundary(f) for f in facs):
             return None
         groups.append((facs, right[:, col:col + 1]))
         col += 1

@@ -2,14 +2,15 @@
 
 Both basis classes keep, alongside the orthonormal columns V:
 
-* ``KV``      the cached products Kbar @ V (drives the explicit projection
-              T = V^T Kbar V and the cheap residual couplings),
-* ``T_full``  the explicit projection, grown incrementally,
-* ``Vb``      the rows of V at boundary indices, from which the projection
-              of the interior indicator is I - Vb^T Vb.
+* ``KV``      the cached products K @ V with K = op.matrix (drives the
+              explicit projection T = V^T K V and the cheap residual
+              couplings),
+* ``T_full``  the explicit projection, grown incrementally.
 
-The explicit projection is used instead of recursion formulas: the 1/(tau
-beta) boundary entries make the recursions lose accuracy for small tau.
+The solvers build these bases for the operator of the interior unknowns,
+so V has no boundary rows and the projected coefficient is I + tau*beta*T.
+The projection is formed explicitly from KV rather than from the
+recursion coefficients.
 """
 
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ def _cgs2_append(V, cand, deftol):
 
 
 class _ProjectionState:
-    """Shared bookkeeping of V, KV, T_full and boundary rows."""
+    """Shared bookkeeping of V, KV and T_full."""
 
     def __init__(self, op, deftol):
         self.op = op
@@ -72,7 +73,6 @@ class _ProjectionState:
         self.V = np.zeros((op.size, 0))
         self.KV = np.zeros((op.size, 0))
         self.T_full = np.zeros((0, 0))
-        self.Vb = np.zeros((len(op.boundary_indices), 0))
         self.block_bounds = [0]
 
     @property
@@ -96,32 +96,30 @@ class _ProjectionState:
         self.T_full = T
         self.V = np.hstack([self.V, Vnew])
         self.KV = np.hstack([self.KV, KVnew])
-        self.Vb = np.hstack([self.Vb, Vnew[self.op.boundary_indices, :]])
         self.block_bounds.append(r1)
 
     def projections(self, m):
-        """(T_m, I_m, coupling) for the first m blocks.
+        """(T_m, coupling) for the first m blocks.
 
         The coupling is the next-block row slab of the projection,
-        V_{m+1}^T Kbar V_m; empty when block m+1 does not exist (invariant
+        V_{m+1}^T K V_m; empty when block m+1 does not exist (invariant
         subspace after breakdown).
         """
         r = self.block_bounds[m]
-        I_m = np.eye(r) - self.Vb[:, :r].T @ self.Vb[:, :r]
         T_m = self.T_full[:r, :r]
         if m + 1 <= self.n_blocks:
             rn = self.block_bounds[m + 1]
             coupling = self.T_full[r:rn, :r]
         else:
             coupling = np.zeros((0, r))
-        return T_m, I_m, coupling
+        return T_m, coupling
 
 
 class ExtendedKrylovBasis:
-    """Block basis of EK_m(Kbar, B) = span[B, Kbar^{-1}B, Kbar B, ...].
+    """Block basis of EK_m(K, B) = span[B, K^{-1}B, K B, ...].
 
-    Each step multiplies the direct half of the previous block by Kbar and
-    the inverse half by Kbar^{-1}, then orthogonalizes twice against the
+    Each step multiplies the direct half of the previous block by K and
+    the inverse half by K^{-1}, then orthogonalizes twice against the
     whole basis. Deflated directions shrink the corresponding half.
     """
 
@@ -168,7 +166,7 @@ class ExtendedKrylovBasis:
         ndir = self._splits[-1]
         parts = []
         if ndir > 0:
-            parts.append(st.KV[:, lo:lo + ndir])  # Kbar @ direct half, cached
+            parts.append(st.KV[:, lo:lo + ndir])  # K @ direct half, cached
         if hi - lo - ndir > 0:
             parts.append(self.op.solve(st.V[:, lo + ndir:hi]))
         if not parts:
@@ -223,7 +221,7 @@ class RationalKrylovBasis:
         return self.state.V[:, lo:hi], self.state.KV[:, lo:hi]
 
     def step(self, shift):
-        """Append (Kbar - shift I)^{-1} (last block), orthonormalized."""
+        """Append (K - shift I)^{-1} (last block), orthonormalized."""
         st = self.state
         lo, hi = st.block_bounds[-2], st.block_bounds[-1]
         A = self.op.matrix
@@ -260,7 +258,7 @@ class ShiftState:
 
 
 def spectral_bounds(op, seed=0, iterations=12):
-    """Rough [s_min, s_max] for the spectrum of Kbar.
+    """Rough [s_min, s_max] for the spectrum of K.
 
     Upper end from Gershgorin rows of the assembled matrix; lower end from a
     few inverse power iterations (Rayleigh quotient, real part).
@@ -291,7 +289,7 @@ def next_shift(state, grid_points=1000):
 
     The poles sit on the far side of the spectrum because the time-coupling
     matrix is nilpotent: the solution columns are inverse powers of the full
-    coefficient matrix, i.e. resolvents of Kbar at negative points, and
+    coefficient matrix, i.e. resolvents of K at negative points, and
     in-spectrum poles stall the method.
     """
     if not state.used_shifts:

@@ -1,13 +1,17 @@
 """Outer projection solvers and the fast inner solves.
 
-The outer methods share one loop: grow a Krylov basis of the space
-operator, project onto it, solve the small equation in time, and check a
-cheap residual-norm formula. They differ only in the projection: extended
-(solve_eksm) or rational (solve_rksm) Krylov on the whole space, or one
-extended basis per dimension (solve_eksm_separable). The inner projected
-equation
+The outer methods share one loop. It splits off the Dirichlet boundary
+block, which solves a closed subsystem of its own, and works on the
+interior unknowns only: grow a Krylov basis of the interior operator K_II,
+project onto it, solve the small equation in time, and check a cheap
+residual-norm formula, which is exact because the Krylov space of K_II
+gives an exact Arnoldi relation for I + tau*beta*K_II. The boundary block
+is added back to the factored solution at the end. The solvers differ
+only in the projection: extended (solve_eksm) or rational (solve_rksm)
+Krylov on the whole interior, or one extended basis per dimension
+(solve_eksm_separable). The inner projected equation
 
-    (I_m + tau*beta*T_m) Y - Y sigma^T = rhs_left rhs_right^T
+    (I + tau*beta*T_m) Y - Y sigma^T = rhs_left rhs_right^T
 
 is solved either column-by-column (one LU, ell triangular solves) or through
 the circulant splitting of sigma: diagonalize the small coefficient matrix,
@@ -24,7 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .discretization import SpaceOperator, kron_vectors
+from .discretization import SpaceOperator, eliminate_boundary, kron_vectors
 from .errors import (EigFallback, IndexOutOfRange, NotSeparable,
                      ResonantEigenvalue, ShiftSingular,
                      SingularProjectedMatrix)
@@ -220,15 +224,20 @@ def _layout(n_bases):
     return "full" if n_bases == 1 else f"tensor{n_bases}d"
 
 
-def _outer_loop(start, rows, memory_units, rhs, timeop, tol, m_max, inner,
-                history):
+def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
+                inner, history):
     """The loop every outer solver shares; only the projection differs.
 
-    ``start()`` builds the projection, once the right-hand side is known to
-    be nonzero. A projection offers ``grow()`` (False on breakdown or when
-    every dimension is frozen), ``reduced(m)`` returning (A_small, rhs_left)
-    and setting ``r``, ``residual(Y)`` (absolute norm) and ``solution(Y)``.
-    ``rows`` are the row counts of the bases, for the zero solution. After a
+    ``eliminate_boundary`` splits off the boundary block once; the loop then
+    solves the interior equation. ``start(op_I, rhs_I)`` builds the
+    projection, once the interior right-hand side is known to be nonzero.
+    A projection offers ``grow()`` (False on breakdown or when every
+    dimension is frozen), ``reduced(m)`` returning (A_small, rhs_left) and
+    setting ``r``, ``residual(Y)`` (absolute norm) and ``bases()``, its
+    current bases. ``tensor`` marks one basis per dimension. The interior
+    residual equals the residual of the full-grid equation at the padded
+    solution, and the residuals stay relative to delta, the norm of the
+    full-grid right-hand side, so ``tol`` keeps its meaning. After a
     breakdown the basis spans an invariant subspace and the residual
     vanishes (lucky termination).
     """
@@ -236,21 +245,24 @@ def _outer_loop(start, rows, memory_units, rhs, timeop, tol, m_max, inner,
     if inner not in INNERS:
         raise ValueError(f"unknown inner solver {inner!r}")
     L = timeop.ell
+    op_I, rhs_I, boundary = eliminate_boundary(op, rhs, timeop.scheme)
+    if tensor and boundary is not None:
+        raise NotSeparable("the tensorized path needs data that vanish on the boundary")
     delta = rhs.initial_norm()
-    if delta == 0.0:
-        sol = FactoredSolution(_layout(len(rows)), [np.zeros((k, 0)) for k in rows],
-                               np.zeros((0, L)))
+    if rhs_I.initial_norm() == 0.0:
+        bases = [np.zeros((op_I.n, 0))] * op.d if tensor else [np.zeros((op_I.size, 0))]
+        Y = np.zeros((0, L))
         m, res_hist, converged, used_inner = 1, [0.0], True, {inner}
     else:
-        projection = start()
-        cache = SmwCache(timeop, rhs.right) if inner == "fft_smw" else None
+        projection = start(op_I, rhs_I)
+        cache = SmwCache(timeop, rhs_I.right) if inner == "fft_smw" else None
         res_hist, used_inner = [], set()
         grown = True
         for m in range(1, m_max + 1):
             grown = grown and projection.grow()
             A_small, rhs_left = projection.reduced(m)
             prob = ProjectedProblem(A_small=A_small, rhs_left=rhs_left,
-                                    rhs_right=rhs.right, timeop=timeop)
+                                    rhs_right=rhs_I.right, timeop=timeop)
             Y, used = solve_projected(prob, inner, cache)
             used_inner.add(used)
             rel = projection.residual(Y) / delta if grown else 0.0
@@ -261,22 +273,44 @@ def _outer_loop(start, rows, memory_units, rhs, timeop, tol, m_max, inner,
             converged = bool(rel <= tol)
             if converged or not grown:
                 break
-        sol = projection.solution(Y)
+        bases = projection.bases()
+    sol = _padded_solution(op, bases, Y, boundary)
     rep = SolveReport(iterations=m, residual_history=res_hist, delta=delta,
                       converged=converged,
-                      basis_dims=[V.shape[1] for V in sol.bases],
+                      basis_dims=[V.shape[1] for V in bases],
                       memory_units=memory_units(m),
                       wall_time=time.perf_counter() - t0,
                       inner_solver="fft_smw" if used_inner == {"fft_smw"} else "sequential")
     return sol, rep
 
 
+def _padded_solution(op, bases, Y, boundary):
+    """The factored solution on the full grid.
+
+    One basis per dimension gets zero endpoint rows (the boundary block is
+    zero there). A single basis becomes [V scattered to the interior rows |
+    G1 scattered to the boundary rows], and Y becomes [Y; G2^T].
+    """
+    if len(bases) > 1:
+        pad = (op.n - bases[0].shape[0]) // 2
+        return FactoredSolution(_layout(len(bases)),
+                                [np.pad(V, ((pad, pad), (0, 0))) for V in bases], Y)
+    G1, G2 = boundary if boundary is not None else \
+        (np.zeros((len(op.boundary_indices), 0)), np.zeros((Y.shape[1], 0)))
+    r = bases[0].shape[1]
+    full = np.zeros((op.size, r + G1.shape[1]))
+    full[op.interior_indices(), :r] = bases[0]
+    full[op.boundary_indices, r:] = G1
+    return FactoredSolution("full", [full], np.vstack([Y, G2.T]))
+
+
 # --- full-space projections ------------------------------------------------------
 
 
 class _FullSpaceProjection:
-    """Galerkin projection onto one basis of the whole space. The projected
-    right-hand side grows by V_new^T @ rhs.left for each new block."""
+    """Galerkin projection onto one basis of the whole interior space. The
+    projected right-hand side grows by V_new^T @ rhs.left for each new
+    block."""
 
     def __init__(self, op, rhs, basis):
         self.op, self.rhs, self.basis = op, rhs, basis
@@ -293,12 +327,12 @@ class _FullSpaceProjection:
         return True
 
     def reduced(self, m):
-        T_m, I_m, self.coupling = self.basis.projections(min(m, self.basis.n_blocks))
+        T_m, self.coupling = self.basis.projections(min(m, self.basis.n_blocks))
         self.r = T_m.shape[0]
-        return I_m + self.op.tau_beta * T_m, self.rhs_left[:self.r]
+        return np.eye(self.r) + self.op.tau_beta * T_m, self.rhs_left[:self.r]
 
-    def solution(self, Y):
-        return FactoredSolution("full", [self.basis.V[:, :Y.shape[0]].copy()], Y)
+    def bases(self):
+        return [self.basis.V[:, :self.r]]
 
 
 class _ExtendedProjection(_FullSpaceProjection):
@@ -329,7 +363,7 @@ def _explicit_residual_norm(op, V, Y, rhs, timeop):
 class _RationalProjection(_FullSpaceProjection):
     """Rational Krylov with adaptive real shifts.
 
-    One sparse factorization of (Kbar - xi I) per step; the residual norm
+    One sparse factorization of (K_II - xi I) per step; the residual norm
     follows the rational Arnoldi relation and costs O(n m (p+1)) via the
     trace identity ||G C||_F^2 = trace((G^T G)(C C^T)). After a deflation
     inside a block, or with a singular Hm, that relation no longer holds and
@@ -378,7 +412,6 @@ class _RationalProjection(_FullSpaceProjection):
 
 def _one_dim_operator(factor, n, tau_beta):
     return SpaceOperator(d=1, n=n, matrix=sp.csr_matrix(factor),
-                         boundary_indices=np.array([0, n - 1]),
                          tau_beta=tau_beta, factors=[sp.csr_matrix(factor)])
 
 
@@ -391,16 +424,17 @@ class _TensorizedProjection:
     basis breaks down is frozen while the others keep growing.
     """
 
-    def __init__(self, op, groups):
+    def __init__(self, op, rhs):
         self.tb = op.tau_beta
-        self.groups = groups
-        self.bases = [ExtendedKrylovBasis(_one_dim_operator(op.factors[i], op.n, self.tb),
-                                          np.hstack([g[i] for g in groups]))
-                      for i in range(op.d)]
+        self.groups = groups = _factor_groups(rhs.separable, op.d, op.n)
+        self.dim_bases = [
+            ExtendedKrylovBasis(_one_dim_operator(op.factors[i], op.n, self.tb),
+                                np.hstack([g[i] for g in groups]))
+            for i in range(op.d)]
         self.frozen = [False] * op.d
 
     def grow(self):
-        for i, basis in enumerate(self.bases):
+        for i, basis in enumerate(self.dim_bases):
             if not self.frozen[i]:
                 try:
                     basis.step()
@@ -409,22 +443,22 @@ class _TensorizedProjection:
         return not all(self.frozen)
 
     def reduced(self, m):
-        projs = [b.projections(min(m, b.n_blocks)) for b in self.bases]
-        self.r = [T.shape[0] for T, _, _ in projs]
-        self.couplings = [C for _, _, C in projs]
+        projs = [b.projections(min(m, b.n_blocks)) for b in self.dim_bases]
+        self.r = [T.shape[0] for T, _ in projs]
+        self.couplings = [C for _, C in projs]
         eyes = [np.eye(r) for r in self.r]
-        A_small = kron_vectors([I for _, I, _ in projs])
-        for i, (T, _, _) in enumerate(projs):
+        A_small = np.eye(int(np.prod(self.r)))
+        for i, (T, _) in enumerate(projs):
             mats = list(eyes)
             mats[i] = T
             A_small = A_small + self.tb * kron_vectors(mats)
         rhs_left = np.hstack([
-            kron_vectors([b.V[:, :r].T @ f for b, r, f in zip(self.bases, self.r, g)])
+            kron_vectors([V.T @ f for V, f in zip(self.bases(), g)])
             for g in self.groups])
         return A_small, rhs_left
 
     def residual(self, Y):
-        d = len(self.bases)
+        d = len(self.dim_bases)
         Yt = Y.reshape(tuple(reversed(self.r)) + (Y.shape[1],))
         sq = 0.0
         for i, C in enumerate(self.couplings):
@@ -433,9 +467,8 @@ class _TensorizedProjection:
                 sq += float((contracted ** 2).sum())
         return self.tb * np.sqrt(sq)
 
-    def solution(self, Y):
-        return FactoredSolution(_layout(len(self.bases)),
-                                [b.V[:, :r].copy() for b, r in zip(self.bases, self.r)], Y)
+    def bases(self):
+        return [b.V[:, :r] for b, r in zip(self.dim_bases, self.r)]
 
 
 # --- the outer solvers -----------------------------------------------------------
@@ -449,9 +482,9 @@ def solve_eksm(op, rhs, timeop, tol=1e-6, m_max=60, inner="fft_smw",
     invariant-subspace breakdown the coupling block is empty and the
     residual vanishes (lucky termination).
     """
-    return _outer_loop(lambda: _ExtendedProjection(op, rhs), [op.size],
+    return _outer_loop(op, rhs, timeop, _ExtendedProjection, False,
                        lambda m: eksm_memory_units(m, rhs.width, op.size, timeop.ell),
-                       rhs, timeop, tol, m_max, inner, history)
+                       tol, m_max, inner, history)
 
 
 def solve_eksm_separable(op, rhs, timeop, tol=1e-6, m_max=60,
@@ -459,7 +492,7 @@ def solve_eksm_separable(op, rhs, timeop, tol=1e-6, m_max=60,
     """Tensorized extended Krylov solve: one 1D subspace per dimension.
 
     Requires a pure Kronecker-sum operator and separable right-hand-side
-    factors.
+    factors that vanish on the boundary.
     """
     if op.factors is None:
         raise NotSeparable("space operator is not a Kronecker sum")
@@ -468,18 +501,24 @@ def solve_eksm_separable(op, rhs, timeop, tol=1e-6, m_max=60,
     d, n = op.d, op.n
     if d < 2:
         raise NotSeparable("tensorized path needs d >= 2")
-    groups = [[np.asarray(g[0][i], dtype=float).reshape(n, -1) for i in range(d)]
-              for g in rhs.separable]
-    widths = [sum(g[i].shape[1] for g in groups) for i in range(d)]
-    return _outer_loop(lambda: _TensorizedProjection(op, groups), [n] * d,
+    widths = [sum(g[i].shape[1] for g in _factor_groups(rhs.separable, d, n))
+              for i in range(d)]
+    return _outer_loop(op, rhs, timeop, _TensorizedProjection, True,
                        lambda m: eksm_separable_memory_units(m, widths, n, timeop.ell),
-                       rhs, timeop, tol, m_max, inner, history)
+                       tol, m_max, inner, history)
+
+
+def _factor_groups(separable, d, n):
+    """Per group, the d spatial factors as n-row column blocks."""
+    return [[np.asarray(g[0][i], dtype=float).reshape(n, -1) for i in range(d)]
+            for g in separable]
 
 
 def solve_rksm(op, rhs, timeop, tol=1e-6, m_max=60, inner="fft_smw",
                history=None, seed=0):
     """Rational Krylov solve with adaptive real shifts; ``seed`` drives the
     estimate of the spectral interval the shifts are chosen from."""
-    return _outer_loop(lambda: _RationalProjection(op, rhs, timeop, seed), [op.size],
-                       lambda m: rksm_memory_units(m, rhs.width, op.size, timeop.ell),
-                       rhs, timeop, tol, m_max, inner, history)
+    return _outer_loop(op, rhs, timeop,
+                       lambda op_I, rhs_I: _RationalProjection(op_I, rhs_I, timeop, seed),
+                       False, lambda m: rksm_memory_units(m, rhs.width, op.size, timeop.ell),
+                       tol, m_max, inner, history)

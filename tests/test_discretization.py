@@ -14,8 +14,9 @@ from evosylv.discretization import (SOURCE_CHUNK, Grid, assemble_rhs,
                                     problem_spec, sample_space_function,
                                     square_grid)
 from evosylv.errors import MissingInitialValues, NonSeparableWind
+from evosylv.oracles import timestep_solve
 from evosylv.presets import get_preset
-from evosylv.timeops import bdf_coefficients
+from evosylv.timeops import bdf_coefficients, build_time_operator
 
 rng = np.random.default_rng(5)
 
@@ -425,6 +426,94 @@ class TestStreamedSource:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20
+
+
+def _inconsistent_hot_wall(n, ell, s):
+    # u0 = 0 disagrees with the hot wall g = 1 on x = 0
+    spec = get_preset("example3", n, ell, s=s, epsilon=0.01)
+    zero = np.zeros(n * n)
+    return dataclasses.replace(spec, u0=zero, extra_initial_values=[zero] * (s - 1))
+
+
+class TestEliminateBoundary:
+    """eliminate_boundary against the full-grid oracle: the boundary rows of
+    the time-stepped solution, and the dense interior right-hand side."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: get_preset("example3", 10, 150, epsilon=0.01),
+        lambda: _hot_wall_bdf3(8, 140),
+        lambda: _heat3d_moving_g(5, 70),
+        lambda: _bdf2_f_and_g(7, 140),
+        lambda: _wall_1d(8, 150),
+        lambda: _inconsistent_hot_wall(8, 140, 1),
+        lambda: _inconsistent_hot_wall(8, 140, 2),
+    ], ids=["example3", "example3_bdf3", "heat3d_moving_g", "bdf2_f_and_g",
+            "wall_1d", "inconsistent_bdf1", "inconsistent_bdf2"])
+    def test_matches_full_grid(self, build):
+        spec = build()
+        op = assemble_space_operator(spec)
+        rhs = assemble_rhs(spec, op)
+        s = spec.scheme.s
+        top = build_time_operator(s, spec.grid.ell - s + 1)
+        op_I, rhs_I, (G1, G2) = discretization.eliminate_boundary(op, rhs, spec.scheme)
+        U = timestep_solve(op, rhs, top).U
+        bnd, keep = op.boundary_indices, op.interior_indices()
+        UB = U[bnd]
+        assert np.linalg.norm(G1 @ G2.T - UB) <= 1e-11 * np.linalg.norm(UB)
+        A = op.a_full()
+        expected = rhs.dense()[keep] - A[keep][:, bnd] @ UB
+        assert np.linalg.norm(rhs_I.dense() - expected) <= 1e-11 * np.linalg.norm(expected)
+        assert rhs_I.left.shape[0] == op_I.size == len(keep)
+        # the interior equation holds for the oracle's interior rows
+        R = op_I.a_full() @ U[keep] - U[keep] @ top.sigma.T - rhs_I.dense()
+        assert np.linalg.norm(R) <= 1e-10 * np.linalg.norm(U[keep])
+
+    def test_hot_wall_interior_rhs_has_rank_one(self):
+        spec = get_preset("example3", 16, 200, epsilon=0.01)
+        op = assemble_space_operator(spec)
+        rhs = assemble_rhs(spec, op)
+        _, rhs_I, (G1, _) = discretization.eliminate_boundary(op, rhs, spec.scheme)
+        assert rhs.width == 2 and rhs_I.width == 1 and G1.shape[1] == 1
+
+    def test_inconsistent_initial_values_widen_the_boundary_block(self):
+        spec = _inconsistent_hot_wall(16, 200, 1)
+        op = assemble_space_operator(spec)
+        _, _, (G1, _) = discretization.eliminate_boundary(
+            op, assemble_rhs(spec, op), spec.scheme)
+        assert G1.shape[1] > 1
+
+    def test_no_boundary_data_skips_the_boundary_solve(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("boundary solve ran")
+
+        monkeypatch.setattr(discretization, "_boundary_solution", forbidden)
+        for spec in (get_preset("example2", 9, 12), get_preset("example2_1", 5, 8)):
+            op = assemble_space_operator(spec)
+            rhs = assemble_rhs(spec, op)
+            op_I, rhs_I, boundary = discretization.eliminate_boundary(
+                op, rhs, spec.scheme)
+            assert boundary is None
+            assert np.array_equal(rhs_I.left, rhs.left[op.interior_indices()])
+            assert rhs_I.right is rhs.right
+            assert rhs_I.initial_norm() == pytest.approx(rhs.initial_norm(), rel=1e-14)
+            for (facs, cols), (facs_I, cols_I) in zip(rhs.separable, rhs_I.separable):
+                assert cols_I is cols
+                assert np.array_equal(kron_vectors(facs_I),
+                                      kron_vectors(facs)[op.interior_indices()])
+
+    def test_boundary_solve_memory_bound(self):
+        # example3 n=96, ell=2048: |bnd| x L alone is 5.9 MiB, n^d x L 144 MiB
+        spec = get_preset("example3", 96, 2048, epsilon=0.01)
+        op = assemble_space_operator(spec)
+        rhs = assemble_rhs(spec, op)
+        op.interior()
+        tracemalloc.start()
+        try:
+            discretization.eliminate_boundary(op, rhs, spec.scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestCompressSnapshots:

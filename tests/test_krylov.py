@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from evosylv.discretization import (assemble_space_operator, square_grid,
-                                    problem_spec)
+from evosylv.discretization import (assemble_space_operator, kron_sum,
+                                    problem_spec, square_grid)
 from evosylv.errors import Breakdown
 from evosylv.krylov import (ExtendedKrylovBasis, RationalKrylovBasis,
                             ShiftState, next_shift, spectral_bounds)
@@ -102,51 +102,65 @@ class TestExtendedBasis:
 
 class TestProjections:
     def test_full_basis_interior_projection(self):
-        op = heat_op(6)
-        basis = ExtendedKrylovBasis(op, np.eye(6))   # full space at once
-        _, I_m, _ = basis.projections(1)
-        E = np.eye(6)
-        expected = np.eye(6) - np.outer(E[0], E[0]) - np.outer(E[5], E[5])
-        V = basis.V
-        assert np.allclose(V @ I_m @ V.T, expected)
+        # the interior operator is Kbar without its boundary rows and
+        # columns, and a full basis of the interior projects it exactly
+        for preset, n, kw in (("example1", 9, {}), ("example2", 7, {}),
+                              ("example3", 7, {"epsilon": 0.1}),
+                              ("example2_1", 5, {})):
+            op = assemble_space_operator(get_preset(preset, n, 8, **kw))
+            inner = op.interior()
+            keep = np.setdiff1d(np.arange(op.size), op.boundary_indices)
+            dense = op.matrix.toarray()[keep][:, keep]
+            assert inner.n == n - 2 and inner.size == len(keep)
+            assert len(inner.boundary_indices) == 0
+            assert np.array_equal(inner.matrix.toarray(), dense)
+            basis = ExtendedKrylovBasis(inner, np.eye(inner.size))
+            T, _ = basis.projections(1)
+            assert np.allclose(basis.V @ T @ basis.V.T, dense)
+
+    def test_interior_factors_kron_sum_equal_matrix(self):
+        for preset, n in (("example1", 9), ("example2", 7), ("example2_1", 5),
+                          ("example4", 5)):
+            op = assemble_space_operator(get_preset(preset, n, 8))
+            inner = op.interior()
+            assert [F.shape for F in inner.factors] == [(n - 2, n - 2)] * op.d
+            assert abs(kron_sum(inner.factors, n - 2) - inner.matrix).max() == 0.0
 
     def test_projection_symmetry_for_symmetric_operator(self):
-        # interior-supported start keeps the basis away from the
-        # nonsymmetric boundary rows
-        op = heat_op(24)
-        B = np.zeros((24, 1))
-        B[8:16, 0] = rng.standard_normal(8)
-        basis = ExtendedKrylovBasis(op, B)
+        # without boundary rows the heat operator is symmetric, so its
+        # projection is symmetric for any start block
+        op = heat_op(24).interior()
+        basis = ExtendedKrylovBasis(op, rng.standard_normal((op.size, 1)))
         for _ in range(3):
             basis.step()
-        T, I_m, _ = basis.projections(basis.n_blocks - 1)
+        T, _ = basis.projections(basis.n_blocks - 1)
         assert np.linalg.norm(T - T.T) <= 1e-12 * np.linalg.norm(T)
-        assert np.linalg.norm(I_m - I_m.T) <= 1e-12
 
     def test_interior_projection_against_dense(self):
-        op = heat_op(16, d=2)
+        op = heat_op(16, d=2).interior()
         basis = ExtendedKrylovBasis(op, rng.standard_normal(op.size))
         for _ in range(3):
             basis.step()
         m = basis.n_blocks - 1
-        T, I_m, _ = basis.projections(m)
+        T, coupling = basis.projections(m)
         r = T.shape[0]
-        V = basis.V[:, :r]
-        P = np.zeros(op.size)
-        P[op.boundary_indices] = 1.0
-        dense = V.T @ np.diag(1.0 - P) @ V
-        assert np.abs(I_m - dense).max() <= 1e-12
-        dense_T = V.T @ op.matrix.toarray() @ V
-        assert np.abs(T - dense_T).max() <= 1e-10
+        rn = basis.state.block_bounds[m + 1]
+        K = op.matrix.toarray()
+        assert np.abs(T - basis.V[:, :r].T @ K @ basis.V[:, :r]).max() \
+            <= 1e-10 * np.abs(K).max()
+        assert np.abs(coupling - basis.V[:, r:rn].T @ K @ basis.V[:, :r]).max() \
+            <= 1e-10 * np.abs(K).max()
 
     def test_interior_projection_spectrum(self):
-        op = heat_op(20)
-        basis = ExtendedKrylovBasis(op, rng.standard_normal((20, 2)))
+        # Ritz values of the symmetric interior operator lie in its spectrum
+        op = heat_op(20).interior()
+        basis = ExtendedKrylovBasis(op, rng.standard_normal((op.size, 2)))
         for _ in range(3):
             basis.step()
-        _, I_m, _ = basis.projections(basis.n_blocks - 1)
-        lam = np.linalg.eigvalsh(I_m)
-        assert lam.min() >= -1e-12 and lam.max() <= 1 + 1e-12
+        T, _ = basis.projections(basis.n_blocks - 1)
+        ritz = np.linalg.eigvalsh((T + T.T) / 2)
+        lam = np.linalg.eigvalsh(op.matrix.toarray())
+        assert lam[0] * (1 - 1e-12) <= ritz.min() and ritz.max() <= lam[-1] * (1 + 1e-12)
 
 
 class TestRationalBasis:

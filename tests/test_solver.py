@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from evosylv import krylov, solver
+from evosylv import discretization, krylov, solver
 from evosylv.discretization import (LowRankRhs, assemble_rhs,
                                     assemble_space_operator, kron_vectors,
                                     problem_spec, square_grid)
-from evosylv.errors import IndexOutOfRange, NotSeparable, ShiftSingular
+from evosylv.errors import (IndexOutOfRange, NotSeparable, ShiftSingular,
+                            SingularMatrix)
 from evosylv.oracles import timestep_solve
 from evosylv.presets import get_preset
 from evosylv.solver import (FactoredSolution, eksm_memory_units,
@@ -72,10 +75,8 @@ class TestEksm:
         sol, rep = solve_eksm(op, rhs, top, tol=1e-12, m_max=12, history=hist)
         checked = 0
         for entry in hist:
-            r, Y = entry["r"], entry["Y"]
-            V = None
             # basis prefixes: reconstruct V_m from the final basis
-            V = np.asarray(solve_basis_prefix(sol, r))
+            V, Y = iterate_factors(sol, rep, entry)
             R = explicit_residual(op, V @ Y, rhs, top)
             rel = np.linalg.norm(R) / rep.delta
             assert abs(rel - entry["rel_residual"]) <= 1e-8 * rel + 1e-12
@@ -88,9 +89,9 @@ class TestEksm:
         sol, rep = solve_eksm(op, rhs, top, tol=1e-12, m_max=12, history=hist)
         norm_rhs = np.linalg.norm(rhs.dense())
         for entry in hist:
-            V = solve_basis_prefix(sol, entry["r"])
-            R = explicit_residual(op, V @ entry["Y"], rhs, top)
-            assert np.linalg.norm(V.T @ R) <= 1e-8 * norm_rhs
+            V, Y = iterate_factors(sol, rep, entry)
+            R = explicit_residual(op, V @ Y, rhs, top)
+            assert np.linalg.norm(V[:, :entry["r"]].T @ R) <= 1e-8 * norm_rhs
 
     def test_residual_history_recorded(self):
         op, rhs, top = small_heat_problem()
@@ -113,8 +114,13 @@ class TestEksm:
         assert np.linalg.norm(Uf - Us) <= 1e-9 * np.linalg.norm(Us)
 
 
-def solve_basis_prefix(sol, r):
-    return sol.bases[0][:, :r]
+def iterate_factors(sol, rep, entry):
+    """Full-grid factors V, Y of a history iterate: the padded prefix of the
+    Krylov basis and the boundary columns of the final solution, with the
+    iterate's Y stacked on the boundary block's time factor."""
+    R = rep.basis_dims[0]
+    V = np.hstack([sol.bases[0][:, :entry["r"]], sol.bases[0][:, R:]])
+    return V, np.vstack([entry["Y"], sol.Y[R:]])
 
 
 class TestEksmSeparable:
@@ -213,8 +219,8 @@ class TestRksm:
         hist = []
         sol, rep = solve_rksm(op, rhs, top, tol=1e-12, m_max=12, history=hist)
         for entry in hist:
-            V = sol.bases[0][:, :entry["r"]]
-            R = explicit_residual(op, V @ entry["Y"], rhs, top)
+            V, Y = iterate_factors(sol, rep, entry)
+            R = explicit_residual(op, V @ Y, rhs, top)
             rel = np.linalg.norm(R) / rep.delta
             assert abs(rel - entry["rel_residual"]) <= 1e-8 * rel + 1e-12
 
@@ -223,8 +229,8 @@ class TestRksm:
         hist = []
         sol, rep = solve_rksm(op, rhs, top, tol=1e-12, m_max=14, history=hist)
         for entry in hist:
-            V = sol.bases[0][:, :entry["r"]]
-            R = explicit_residual(op, V @ entry["Y"], rhs, top)
+            V, Y = iterate_factors(sol, rep, entry)
+            R = explicit_residual(op, V @ Y, rhs, top)
             rel = np.linalg.norm(R) / rep.delta
             assert abs(rel - entry["rel_residual"]) <= 1e-8 * rel + 1e-12
 
@@ -262,16 +268,16 @@ class TestRksm:
         sol, rep = solve_rksm(op, start, top, tol=1e-10, m_max=30, history=hist)
         assert rep.converged and len(calls) == rep.iterations
         for entry in hist:
-            V = sol.bases[0][:, :entry["r"]]
-            R = explicit_residual(op, V @ entry["Y"], start, top)
+            V, Y = iterate_factors(sol, rep, entry)
+            R = explicit_residual(op, V @ Y, start, top)
             rel = np.linalg.norm(R) / rep.delta
             assert abs(rel - entry["rel_residual"]) <= 1e-8 * rel + 1e-12
         Uo = timestep_solve(op, start, top).U
         assert np.linalg.norm(materialize(sol) - Uo) <= 1e-8 * np.linalg.norm(Uo)
 
     def test_singular_shift_is_nudged(self, monkeypatch):
-        # 1/tau_beta is an exact eigenvalue of Kbar (its boundary rows are
-        # (1/tau_beta) e_j^T), so the first factorization is singular
+        # the first factorization of K_II - xi I reports a singular matrix,
+        # as it would for a shift on an eigenvalue
         op, rhs, top = small_heat_problem(n=24, ell=12)
         original_shift = solver.next_shift
 
@@ -279,6 +285,16 @@ class TestRksm:
             return 1.0 / op.tau_beta if not state.used_shifts else original_shift(state)
 
         monkeypatch.setattr(solver, "next_shift", first_shift_exact)
+        original_factorize = krylov.sparse_factorize
+        factorizations = []
+
+        def factorize(A):
+            factorizations.append(A.shape)
+            if len(factorizations) == 1:
+                raise SingularMatrix("injected")
+            return original_factorize(A)
+
+        monkeypatch.setattr(krylov, "sparse_factorize", factorize)
         raised = []
         original_step = krylov.RationalKrylovBasis.step
 
@@ -363,3 +379,137 @@ class TestBdfSolves:
         assert rep.converged
         Uo = timestep_solve(op, rhs, top).U
         assert np.linalg.norm(materialize(sol) - Uo) <= 1e-8 * np.linalg.norm(Uo)
+
+
+def example3_setup(n, ell, s=1, u0=None, epsilon=0.01):
+    """example3 with its hot wall; u0 = "wall" keeps the initial values
+    consistent with g, an array replaces them (u0 = 0: inconsistent)."""
+    spec = get_preset("example3", n, ell, s=s, epsilon=epsilon)
+    if u0 is not None:
+        spec.u0 = u0
+    if s > 1:
+        spec.extra_initial_values = [discretization._sample_u0(spec)] * (s - 1)
+    op = assemble_space_operator(spec)
+    rhs = assemble_rhs(spec, op)
+    return op, rhs, build_time_operator(s, ell - s + 1)
+
+
+class TestInteriorUnknowns:
+    @pytest.mark.parametrize("method", [solve_eksm, solve_rksm])
+    def test_cheap_residual_exact_with_boundary_data(self, method):
+        # the stopping residual of every iterate equals the residual of the
+        # full-grid equation at the padded solution
+        op, rhs, top = example3_setup(24, 64)
+        hist = []
+        sol, rep = method(op, rhs, top, tol=1e-6, history=hist)
+        assert rep.converged and len(hist) >= 10
+        assert sol.bases[0].shape[1] > rep.basis_dims[0]      # boundary columns
+        for entry in hist:
+            V, Y = iterate_factors(sol, rep, entry)
+            explicit = solver._explicit_residual_norm(op, V, Y, rhs, top)
+            assert abs(entry["rel_residual"] * rep.delta - explicit) <= 1e-6 * explicit
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("consistent", [True, False])
+    @pytest.mark.parametrize("method", [solve_eksm, solve_rksm])
+    def test_example3_matches_oracle(self, method, consistent, s):
+        n = 16
+        u0 = None if consistent else np.zeros(n * n)
+        op, rhs, top = example3_setup(n, 48, s=s, u0=u0)
+        sol, rep = method(op, rhs, top, tol=1e-10, m_max=60)
+        assert rep.converged
+        Uo = timestep_solve(op, rhs, top).U
+        assert np.linalg.norm(materialize(sol) - Uo) <= 1e-8 * np.linalg.norm(Uo)
+        # the hot wall is one time-constant column; initial values that
+        # disagree with it give the boundary block a transient
+        boundary_rank = sol.bases[0].shape[1] - rep.basis_dims[0]
+        assert (boundary_rank == 1) if consistent else (boundary_rank > 1)
+
+    @pytest.mark.parametrize("method", [solve_eksm, solve_eksm_separable, solve_rksm])
+    def test_example2_matches_oracle(self, method):
+        spec, op, rhs, top = setup("example2", 12, 24)
+        sol, rep = method(op, rhs, top, tol=1e-10, m_max=40)
+        assert rep.converged
+        assert [V.shape[0] for V in sol.bases] == \
+            ([12, 12] if method is solve_eksm_separable else [144])
+        Uo = timestep_solve(op, rhs, top).U
+        assert np.linalg.norm(materialize(sol) - Uo) <= 1e-8 * np.linalg.norm(Uo)
+
+    @pytest.mark.parametrize("method", [solve_eksm, solve_rksm])
+    def test_example1_matches_oracle(self, method):
+        spec, op, rhs, top = setup("example1", 40, 32)
+        sol, rep = method(op, rhs, top, tol=1e-10, m_max=40)
+        assert rep.converged
+        Uo = timestep_solve(op, rhs, top).U
+        assert np.linalg.norm(materialize(sol) - Uo) <= 1e-8 * np.linalg.norm(Uo)
+
+    def test_boundary_block_alone(self):
+        # a corner value couples to no interior node: the interior equation
+        # has a right-hand side at rounding level and the solution is the
+        # boundary block
+        corner = lambda x, y, *t: np.where((x == 0.0) & (y == 0.0), 1.0, 0.0)
+        spec = problem_spec("heat", square_grid(2, 8, 10), u0=corner, g=corner)
+        op = assemble_space_operator(spec)
+        rhs = assemble_rhs(spec, op)
+        top = build_time_operator(1, 10)
+        sol, rep = solve_eksm(op, rhs, top)
+        assert rep.converged and rep.iterations == 1
+        assert rep.delta == rhs.initial_norm()
+        Uo = timestep_solve(op, rhs, top).U
+        assert np.linalg.norm(materialize(sol) - Uo) <= 1e-12 * np.linalg.norm(Uo)
+
+    def test_tensorized_refuses_boundary_data(self):
+        spec, op, rhs, top = setup("example2", 8, 10)
+        ones = np.ones((8, 1))
+        e1 = np.eye(top.ell)[:, :1]
+        data = LowRankRhs(kron_vectors([ones, ones]), e1, separable=[([ones, ones], e1)])
+        with pytest.raises(NotSeparable):
+            solve_eksm_separable(op, data, top)
+        # assemble_rhs offers no separable groups for such data
+        spec = problem_spec("heat", square_grid(2, 8, 10), u0=lambda x, y: np.cos(x) * np.cos(y),
+                            u0_separable=(np.cos, np.cos))
+        assert assemble_rhs(spec, assemble_space_operator(spec)).separable is None
+
+    @pytest.mark.parametrize("method", [solve_eksm, solve_rksm])
+    def test_solve_memory_bound(self, method):
+        # one n^d x ell array alone would break the bound twice over
+        op, rhs, top = example3_setup(64, 4096)
+        bound_mib = 64
+        assert op.size * top.ell * 8 >= 2 * bound_mib * 2**20
+        tracemalloc.start()
+        try:
+            sol, rep = method(op, rhs, top, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak < bound_mib * 2**20
+
+    def test_singular_hm_uses_explicit_residual(self, monkeypatch):
+        # a singular Hm voids the rational Arnoldi relation: the residual is
+        # then computed from the factors, and still equals the full-grid one
+        op, rhs, top = example3_setup(16, 32, epsilon=0.1)
+        original_solve = np.linalg.solve
+
+        def solve(a, b):
+            if np.ndim(a) == 2:       # Hm; the SMW corner solve is batched
+                raise np.linalg.LinAlgError("injected")
+            return original_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        calls = []
+        original = solver._explicit_residual_norm
+
+        def explicit(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_explicit_residual_norm", explicit)
+        hist = []
+        sol, rep = solve_rksm(op, rhs, top, tol=1e-8, m_max=40, history=hist)
+        assert rep.converged and len(calls) == rep.iterations
+        monkeypatch.undo()
+        for entry in hist:
+            V, Y = iterate_factors(sol, rep, entry)
+            full = solver._explicit_residual_norm(op, V, Y, rhs, top)
+            assert abs(entry["rel_residual"] * rep.delta - full) <= 1e-8 * full
