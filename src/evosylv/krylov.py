@@ -284,17 +284,22 @@ def spectral_bounds(op, seed=0, iterations=12):
 
 def next_shift(state, grid_points=1000):
     """Greedy adaptive shift: maximize prod|x - xi_used| / prod|x - ritz|
-    over a grid on the mirrored spectral interval [-s_max, -s_min]; the
-    first shift is -s_min.
+    over log-spaced candidates on the mirrored spectral interval
+    [-s_max, -s_min]; the first shift is -s_min.
 
     The poles sit on the far side of the spectrum because the time-coupling
     matrix is nilpotent: the solution columns are inverse powers of the full
     coefficient matrix, i.e. resolvents of K at negative points, and
     in-spectrum poles stall the method.
+
+    The candidates are log-spaced because the pole function varies on a
+    log scale: a linear grid spaces its points (s_max - s_min)/grid_points
+    apart, which for 2D heat at n=192 leaves (s_min, 15 s_min) without a
+    candidate, exactly where the low end of the spectrum needs poles.
     """
     if not state.used_shifts:
         return -state.s_min
-    xs = -np.linspace(state.s_min, state.s_max, grid_points)
+    xs = -np.geomspace(state.s_min, state.s_max, grid_points)
     with np.errstate(divide="ignore"):
         logf = np.zeros_like(xs)
         for xi in state.used_shifts:

@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evosylv.discretization import assemble_space_operator
 from evosylv.errors import NonDiagonalizable, SingularMatrix
 from evosylv.kernels import (circulant_eigenvalues, dense_eig, fft, ifft,
                              sparse_factorize, sparse_solve)
+from evosylv.presets import get_preset
 
 rng = np.random.default_rng(1234)
+
+
+def interior_laplacian(n):
+    """5-point Laplacian on the n x n interior of the unit square, and the
+    1D eigenvalues mu whose pairwise sums mu_i + mu_j are its spectrum."""
+    h = 1.0 / (n + 1)
+    T = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]) / h**2
+    I = sp.identity(n)
+    mu = 4 / h**2 * np.sin(np.arange(1, n + 1) * np.pi * h / 2) ** 2
+    return (sp.kron(T, I) + sp.kron(I, T)).tocsc(), mu
 
 
 class TestDenseEig:
@@ -119,3 +132,29 @@ class TestSparse:
             sparse_factorize(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
         with pytest.raises(SingularMatrix):
             sparse_factorize(sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 0.0]])))
+
+    def test_symmetric_matrix_gets_less_fill(self):
+        L, _ = interior_laplacian(20)
+        A = L + 30.0 * sp.identity(L.shape[0], format="csc")
+        fact = sparse_factorize(A)
+        plain = spla.splu(A)
+        assert fact.L.nnz + fact.U.nnz < plain.L.nnz + plain.U.nnz
+        b = np.random.default_rng(5).standard_normal(A.shape[0])
+        x = sparse_solve(fact, b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_symmetric_indefinite_solves(self):
+        # shift midway between two eigenvalues a quarter into the spectrum
+        L, mu = interior_laplacian(20)
+        lam = np.unique(np.round(np.add.outer(mu, mu).ravel(), 8))
+        k = len(lam) // 4
+        A = L - 0.5 * (lam[k] + lam[k + 1]) * sp.identity(L.shape[0], format="csc")
+        b = np.random.default_rng(6).standard_normal(A.shape[0])
+        x = sparse_solve(sparse_factorize(A), b)
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_nonsymmetric_keeps_default_ordering(self):
+        spec = get_preset("example3", 16, 8, epsilon=0.1)
+        A = assemble_space_operator(spec).interior().matrix
+        assert (A != A.T).nnz > 0
+        assert np.array_equal(sparse_factorize(A).perm_c, spla.splu(sp.csc_matrix(A)).perm_c)

@@ -253,13 +253,23 @@ class TestShifts:
                            used_shifts=[-1.0, -7.5, -30.0],
                            ritz_values=np.array([2.0, 11.0, 28.0]))
         xi = next_shift(state)
-        xs = -np.linspace(1.0, 30.0, 1000)
+        xs = -np.geomspace(1.0, 30.0, 1000)
         vals = np.ones_like(xs)
         for u in state.used_shifts:
             vals *= np.abs(xs - u)
         for th in state.ritz_values:
             vals /= np.abs(xs - th)
         assert xi == xs[np.argmax(vals)]
+
+    def test_pole_near_low_end_of_wide_interval(self):
+        # Ritz values crowd the low end of a four-decade interval; a linear
+        # grid spaces its candidates ~10 apart and cannot place a pole below
+        # -10, the log-spaced candidates can
+        state = ShiftState(s_min=1.0, s_max=1e4,
+                           used_shifts=[-1.0, -1e4],
+                           ritz_values=np.array([1.5, 3.0, 6.0]))
+        xi = next_shift(state)
+        assert -10.0 < xi < -1.0
 
     def test_deterministic_sequence(self):
         op = heat_op(20)

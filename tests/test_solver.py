@@ -318,6 +318,14 @@ class TestRksm:
         r2 = solve_rksm(op, rhs, top, tol=1e-9, seed=7)[1]
         assert r1.residual_history == r2.residual_history
 
+    def test_iterations_on_fine_heat_grid(self):
+        # the low end of the 2D heat spectrum needs poles within a few s_min,
+        # a small fraction of [s_min, s_max] at this n
+        spec, op, rhs, top = setup("example2", 96, 256)
+        sol, rep = solve_rksm(op, rhs, top, tol=1e-8)
+        assert rep.converged
+        assert rep.iterations <= 15
+
 
 class TestSnapshots:
     def test_zero(self):
