@@ -16,10 +16,9 @@ recursion coefficients.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import Breakdown, ShiftSingular, SingularMatrix, SingularOperator
-from .kernels import sparse_factorize, sparse_solve
+from .kernels import SparseAnalysis, sparse_factorize, sparse_solve
 
 DEFLATION_TOL = 1e-12
 
@@ -183,11 +182,15 @@ class ExtendedKrylovBasis:
 class RationalKrylovBasis:
     """Block rational Krylov basis with recorded orthonormalization
     coefficients Hbar (block upper Hessenberg), as needed by the residual
-    formula of the rational method."""
+    formula of the rational method.
+
+    ``analysis`` is the one :class:`SparseAnalysis` of K that every pole's
+    factorization of K - xi I reuses."""
 
     def __init__(self, op, B, deflation_tol=DEFLATION_TOL):
         self.state = _ProjectionState(op, deflation_tol)
         self.op = op
+        self.analysis = SparseAnalysis(op.matrix)
         B = np.asarray(B, dtype=float)
         if B.ndim == 1:
             B = B[:, None]
@@ -224,9 +227,8 @@ class RationalKrylovBasis:
         """Append (K - shift I)^{-1} (last block), orthonormalized."""
         st = self.state
         lo, hi = st.block_bounds[-2], st.block_bounds[-1]
-        A = self.op.matrix
         try:
-            fact = sparse_factorize(A - shift * sp.identity(A.shape[0], format="csc"))
+            fact = sparse_factorize(self.analysis, shift)
             cand = sparse_solve(fact, st.V[:, lo:hi])
         except SingularMatrix as exc:
             raise ShiftSingular(f"shift {shift} hits the spectrum") from exc
@@ -257,29 +259,41 @@ class ShiftState:
     ritz_values: np.ndarray = None
 
 
-def spectral_bounds(op, seed=0, iterations=12):
-    """Rough [s_min, s_max] for the spectrum of K.
+def spectral_bounds(op, seed=0, iterations=12, analysis=None):
+    """[s_min, s_max] for the real parts of the spectrum of K.
 
-    Upper end from Gershgorin rows of the assembled matrix; lower end from a
-    few inverse power iterations (Rayleigh quotient, real part).
+    A Kronecker sum (``op.factors`` set, d = 1 included) has the sums of
+    its factors' eigenvalues as eigenvalues, so the interval is exact and
+    costs d small dense eigenvalue problems: ``eigvalsh`` for symmetric
+    factors, the real parts of ``eig`` for nonsymmetric ones. Otherwise the
+    upper end comes from Gershgorin rows of the assembled matrix and the
+    lower end from a few inverse power iterations (Rayleigh quotient, real
+    part) with an LU of K made through ``analysis`` when one is given; that
+    LU is dropped on return.
     """
-    A = op.matrix.tocsr()
-    diag = A.diagonal()
-    absrow = np.asarray(np.abs(A).sum(axis=1)).ravel()
-    s_max = float(np.max(diag + (absrow - np.abs(diag))))
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        w = op.solve(v)
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            break
-        v = w / nw
-    rq = float(v @ (A @ v))
-    s_min = max(abs(rq), 1e-12 * s_max)
+    if op.factors is not None:
+        lo = s_max = 0.0
+        for F in op.factors:
+            F = F.toarray()
+            mu = np.linalg.eigvalsh(F) if np.array_equal(F, F.T) else np.linalg.eigvals(F).real
+            lo += mu.min()
+            s_max += mu.max()
+    else:
+        A = op.matrix.tocsr()
+        diag = A.diagonal()
+        absrow = np.asarray(np.abs(A).sum(axis=1)).ravel()
+        s_max = float(np.max(diag + (absrow - np.abs(diag))))
+        fact = sparse_factorize(op.matrix if analysis is None else analysis)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(A.shape[0])
+        v /= np.linalg.norm(v)
+        for _ in range(iterations):
+            w = sparse_solve(fact, v)
+            v = w / np.linalg.norm(w)
+        lo = v @ (A @ v)
+    s_min = max(abs(float(lo)), 1e-12 * s_max)
     s_min = min(s_min, 0.5 * s_max)
-    return s_min, s_max
+    return s_min, float(s_max)
 
 
 def next_shift(state, grid_points=1000):

@@ -363,18 +363,19 @@ def _explicit_residual_norm(op, V, Y, rhs, timeop):
 class _RationalProjection(_FullSpaceProjection):
     """Rational Krylov with adaptive real shifts.
 
-    One sparse factorization of (K_II - xi I) per step; the residual norm
-    follows the rational Arnoldi relation and costs O(n m (p+1)) via the
-    trace identity ||G C||_F^2 = trace((G^T G)(C C^T)). After a deflation
-    inside a block, or with a singular Hm, that relation no longer holds and
-    the residual is computed from the factors instead.
+    One sparse factorization of (K_II - xi I) per step, all through the
+    basis's one analysis of K_II; the residual norm follows the rational
+    Arnoldi relation and costs O(n m (p+1)) via the trace identity
+    ||G C||_F^2 = trace((G^T G)(C C^T)). After a deflation inside a block,
+    or with a singular Hm, that relation no longer holds and the residual
+    is computed from the factors instead.
     """
 
     def __init__(self, op, rhs, timeop, seed):
-        s_min, s_max = spectral_bounds(op, seed=seed)
+        super().__init__(op, rhs, RationalKrylovBasis(op, rhs.left))
+        s_min, s_max = spectral_bounds(op, seed=seed, analysis=self.basis.analysis)
         self.shifts = ShiftState(s_min=s_min, s_max=s_max)
         self.timeop = timeop
-        super().__init__(op, rhs, RationalKrylovBasis(op, rhs.left))
 
     def _step(self):
         basis, state = self.basis, self.shifts

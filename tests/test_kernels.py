@@ -5,10 +5,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evosylv import kernels
 from evosylv.discretization import assemble_space_operator
 from evosylv.errors import NonDiagonalizable, SingularMatrix
-from evosylv.kernels import (circulant_eigenvalues, dense_eig, fft, ifft,
-                             sparse_factorize, sparse_solve)
+from evosylv.kernels import (ReorderedLU, SparseAnalysis, circulant_eigenvalues,
+                             dense_eig, fft, ifft, sparse_factorize, sparse_solve)
 from evosylv.presets import get_preset
 
 rng = np.random.default_rng(1234)
@@ -158,3 +159,69 @@ class TestSparse:
         A = assemble_space_operator(spec).interior().matrix
         assert (A != A.T).nnz > 0
         assert np.array_equal(sparse_factorize(A).perm_c, spla.splu(sp.csc_matrix(A)).perm_c)
+
+
+def fill(fact):
+    lu = getattr(fact, "lu", fact)
+    return lu.L.nnz + lu.U.nnz
+
+
+class TestSharedAnalysis:
+    """One analysis, many shifts: each factorization must solve as well as,
+    and (with the pivots of a definite shift) fill exactly like, a fresh
+    factorization of the shifted matrix."""
+
+    def check_shifts(self, analysis, shifts, same_fill=True):
+        A = analysis.matrix
+        I = sp.identity(A.shape[0], format="csc")
+        b = np.random.default_rng(8).standard_normal((A.shape[0], 2))
+        for shift in shifts:
+            reused = analysis.order is not None
+            fact = sparse_factorize(analysis, shift)
+            assert isinstance(fact, ReorderedLU) == reused
+            M = A - shift * I
+            x = sparse_solve(fact, b)
+            assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+            if same_fill:
+                assert fill(fact) == fill(sparse_factorize(M))
+
+    def test_heat_poles_and_an_indefinite_shift(self):
+        L, mu = interior_laplacian(30)
+        s_min, s_max = 2 * mu.min(), 2 * mu.max()
+        analysis = SparseAnalysis(L)
+        assert analysis.symmetric
+        self.check_shifts(analysis, -np.geomspace(s_min, s_max, 5))
+        # off-diagonal pivots of an indefinite shift are chosen among
+        # equal-magnitude candidates by row number, which the reordering
+        # changes, so only the solve is compared
+        lam = np.unique(np.round(np.add.outer(mu, mu).ravel(), 8))
+        k = len(lam) // 3
+        self.check_shifts(analysis, [0.5 * (lam[k] + lam[k + 1])], same_fill=False)
+
+    def test_nonsymmetric_example3_reuses_its_order(self):
+        spec = get_preset("example3", 24, 8, epsilon=0.01)
+        A = sp.csc_matrix(assemble_space_operator(spec).interior().matrix)
+        s_max = abs(A).sum(axis=1).max()
+        analysis = SparseAnalysis(A)
+        assert not analysis.symmetric
+        self.check_shifts(analysis, [0.0, -1.0, -0.01 * s_max, -s_max])
+        assert np.array_equal(analysis.order, np.argsort(spla.splu(A).perm_c))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_zero_row_after_reuse_is_singular(self, transpose, monkeypatch):
+        # the boundary rows of the 1D heat operator Kbar hold only their
+        # diagonal entry 1/(tau*beta). Shifted onto it, SuperLU reports a
+        # singular factor but can corrupt the heap doing so (a segfault
+        # later on), so the screen must reject the shift before splu runs.
+        op = assemble_space_operator(get_preset("example1", 24, 8))
+        A = op.matrix.T if transpose else op.matrix
+        analysis = SparseAnalysis(A)
+        sparse_factorize(analysis, -1.0)
+        assert isinstance(sparse_factorize(analysis, 0.5 / op.tau_beta), ReorderedLU)
+
+        def splu(*args, **kwargs):
+            raise AssertionError("splu called on a matrix with a zero row or column")
+
+        monkeypatch.setattr(kernels.spla, "splu", splu)
+        with pytest.raises(SingularMatrix):
+            sparse_factorize(analysis, 1.0 / op.tau_beta)

@@ -293,6 +293,26 @@ class TestShifts:
             assert xi not in state.used_shifts
             state.used_shifts.append(xi)
 
+    @pytest.mark.parametrize("op", [
+        lambda: assemble_space_operator(get_preset("example1", 40, 8)),
+        lambda: assemble_space_operator(get_preset("example1", 40, 8)).interior(),
+        lambda: assemble_space_operator(get_preset("example2", 14, 8)).interior(),
+        lambda: assemble_space_operator(get_preset("example2_1", 8, 8)).interior(),
+        lambda: assemble_space_operator(get_preset("example4", 8, 8)),
+        lambda: assemble_space_operator(get_preset("example4", 10, 8)).interior(),
+        # the 1D convection-diffusion operator of the residual-formula check
+        lambda: assemble_space_operator(problem_spec(
+            "convection-diffusion", square_grid(1, 32, 16), epsilon=0.2,
+            wind=[(lambda x: 1.0 + x,)], u0=lambda x: x**2 * (1 - x) ** 2)),
+    ], ids=["example1", "example1-interior", "example2-interior",
+            "example2_1-interior", "example4", "example4-interior", "convdiff1d"])
+    def test_kronecker_interval_is_the_spectrum_hull(self, op):
+        op = op()
+        lam = np.linalg.eigvals(op.matrix.toarray()).real
+        s_min, s_max = spectral_bounds(op)
+        assert abs(s_min - lam.min()) <= 1e-10 * lam.min()
+        assert abs(s_max - lam.max()) <= 1e-10 * lam.max()
+
     def test_bounds_positive_for_heat(self):
         op = heat_op(16, d=2)
         s_min, s_max = spectral_bounds(op)

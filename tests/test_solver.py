@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evosylv import discretization, krylov, solver
+from evosylv import discretization, kernels, krylov, solver
 from evosylv.discretization import (LowRankRhs, assemble_rhs,
                                     assemble_space_operator, kron_vectors,
                                     problem_spec, square_grid)
@@ -288,11 +288,11 @@ class TestRksm:
         original_factorize = krylov.sparse_factorize
         factorizations = []
 
-        def factorize(A):
-            factorizations.append(A.shape)
+        def factorize(A, shift=0.0):
+            factorizations.append(shift)
             if len(factorizations) == 1:
                 raise SingularMatrix("injected")
-            return original_factorize(A)
+            return original_factorize(A, shift)
 
         monkeypatch.setattr(krylov, "sparse_factorize", factorize)
         raised = []
@@ -311,6 +311,37 @@ class TestRksm:
         assert rep.converged
         Uo = timestep_solve(op, rhs, top).U
         assert np.linalg.norm(materialize(sol) - Uo) <= 1e-8 * np.linalg.norm(Uo)
+
+    @pytest.mark.parametrize("preset,kw,extra", [
+        ("example2", {}, 0), ("example4", {}, 0),
+        ("example3", {"epsilon": 0.1}, 1)])
+    def test_one_factorization_per_pole(self, preset, kw, extra, monkeypatch):
+        # a Kronecker sum gets its interval without an LU; example3 factors
+        # K_II once for its inverse iteration. Every LU goes through the
+        # basis's one analysis, and none is cached on the operator.
+        spec, op, rhs, top = setup(preset, 12, 16, **kw)
+        assert (op.factors is None) == bool(extra)
+        analyses, poles = [], []
+        original_factorize = krylov.sparse_factorize
+
+        def factorize(A, shift=0.0):
+            analyses.append(A)
+            return original_factorize(A, shift)
+
+        original_step = krylov.RationalKrylovBasis.step
+
+        def step(basis, shift):
+            poles.append(shift)
+            return original_step(basis, shift)
+
+        monkeypatch.setattr(krylov, "sparse_factorize", factorize)
+        monkeypatch.setattr(krylov.RationalKrylovBasis, "step", step)
+        sol, rep = solve_rksm(op, rhs, top, tol=1e-8)
+        assert rep.converged and len(poles) >= 3
+        assert len(analyses) == len(poles) + extra
+        assert all(a is analyses[0] for a in analyses)
+        assert isinstance(analyses[0], kernels.SparseAnalysis)
+        assert op.interior()._lu is None
 
     def test_seed_determinism(self):
         op, rhs, top = small_heat_problem()
