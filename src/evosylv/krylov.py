@@ -3,14 +3,13 @@
 Both basis classes keep, alongside the orthonormal columns V:
 
 * ``KV``      the cached products K @ V with K = op.matrix (drives the
-              explicit projection T = V^T K V and the cheap residual
-              couplings),
+              explicit projection T = V^T K V and the cheap residuals),
 * ``T_full``  the explicit projection, grown incrementally.
 
 The solvers build these bases for the operator of the interior unknowns,
 so V has no boundary rows and the projected coefficient is I + tau*beta*T.
-The projection is formed explicitly from KV rather than from the
-recursion coefficients.
+The projection and the residuals are formed from KV and T_full; no
+orthogonalization coefficients are recorded.
 """
 
 from dataclasses import dataclass, field
@@ -28,39 +27,24 @@ def _cgs2_append(V, cand, deftol):
     classical Gram-Schmidt passes; drop columns whose remainder falls below
     deftol times the candidate block norm.
 
-    Returns (new columns, accepted column indices, coefficient matrix). The
-    coefficient matrix C satisfies cand = [V, Vnew] @ C up to deflation.
+    Returns (new columns, accepted column indices).
     """
-    n, r0 = V.shape
-    w = cand.shape[1]
+    n = V.shape[0]
     scale = np.linalg.norm(cand)
-    if scale == 0.0:
-        return np.zeros((n, 0)), [], np.zeros((r0, w))
-    newcols = []
-    coeffs = np.zeros((r0 + w, w))
-    accepted = []
-    for j in range(w):
+    newcols, accepted = [], []
+    for j in range(cand.shape[1]):
         c = cand[:, j].copy()
-        r_now = r0 + len(newcols)
-        h = np.zeros(r_now)
         for _ in range(2):
-            if r0:
-                t = V.T @ c
-                c -= V @ t
-                h[:r0] += t
-            for i, q in enumerate(newcols):
-                t = q @ c
-                c -= t * q
-                h[r0 + i] += t
+            if V.shape[1]:
+                c -= V @ (V.T @ c)
+            for q in newcols:
+                c -= (q @ c) * q
         nrm = np.linalg.norm(c)
-        coeffs[:r_now, j] = h
         if nrm > deftol * scale:
-            coeffs[r_now, j] = nrm
             newcols.append(c / nrm)
             accepted.append(j)
-    r1 = r0 + len(newcols)
     Vnew = np.column_stack(newcols) if newcols else np.zeros((n, 0))
-    return Vnew, accepted, coeffs[:r1, :]
+    return Vnew, accepted
 
 
 class _ProjectionState:
@@ -114,7 +98,24 @@ class _ProjectionState:
         return T_m, coupling
 
 
-class ExtendedKrylovBasis:
+class _Basis:
+    """The orthonormal columns, their count and their blocks, read from the
+    basis's ``state``."""
+
+    @property
+    def width(self):
+        return self.state.width
+
+    @property
+    def n_blocks(self):
+        return self.state.n_blocks
+
+    @property
+    def V(self):
+        return self.state.V
+
+
+class ExtendedKrylovBasis(_Basis):
     """Block basis of EK_m(K, B) = span[B, K^{-1}B, K B, ...].
 
     Each step multiplies the direct half of the previous block by K and
@@ -135,25 +136,13 @@ class ExtendedKrylovBasis:
         except SingularMatrix as exc:
             raise SingularOperator(str(exc)) from exc
         cand = np.hstack([B, Binv])
-        Vnew, accepted, _ = _cgs2_append(self.state.V, cand, deflation_tol)
+        Vnew, accepted = _cgs2_append(self.state.V, cand, deflation_tol)
         if Vnew.shape[1] == 0:
             raise Breakdown("starting block is zero")
         w = B.shape[1]
         self._splits = [sum(1 for j in accepted if j < w)]
         self.state.append_block(Vnew)
         self.gamma = Vnew.T @ B
-
-    @property
-    def width(self):
-        return self.state.width
-
-    @property
-    def n_blocks(self):
-        return self.state.n_blocks
-
-    @property
-    def V(self):
-        return self.state.V
 
     def projections(self, m):
         return self.state.projections(m)
@@ -172,56 +161,35 @@ class ExtendedKrylovBasis:
             raise Breakdown("previous block is empty")
         n_dir_cand = parts[0].shape[1] if ndir > 0 else 0
         cand = np.hstack(parts)
-        Vnew, accepted, _ = _cgs2_append(st.V, cand, st.deftol)
+        Vnew, accepted = _cgs2_append(st.V, cand, st.deftol)
         if Vnew.shape[1] == 0:
             raise Breakdown("new block entirely deflated: invariant subspace")
         self._splits.append(sum(1 for j in accepted if j < n_dir_cand))
         st.append_block(Vnew)
 
 
-class RationalKrylovBasis:
-    """Block rational Krylov basis with recorded orthonormalization
-    coefficients Hbar (block upper Hessenberg), as needed by the residual
-    formula of the rational method.
+class RationalKrylovBasis(_Basis):
+    """Block rational Krylov basis: each step applies (K - xi I)^{-1} to the
+    previous block and orthogonalizes twice against the whole basis.
 
     ``analysis`` is the one :class:`SparseAnalysis` of K that every pole's
     factorization of K - xi I reuses."""
 
     def __init__(self, op, B, deflation_tol=DEFLATION_TOL):
         self.state = _ProjectionState(op, deflation_tol)
-        self.op = op
         self.analysis = SparseAnalysis(op.matrix)
         B = np.asarray(B, dtype=float)
         if B.ndim == 1:
             B = B[:, None]
         if np.linalg.norm(B) == 0.0:
             raise ValueError("starting block must be nonzero")
-        Vnew, _, _ = _cgs2_append(self.state.V, B, deflation_tol)
+        Vnew, _ = _cgs2_append(self.state.V, B, deflation_tol)
         if Vnew.shape[1] == 0:
             raise Breakdown("starting block is zero")
         self.state.append_block(Vnew)
-        self.gamma = Vnew.T @ B
-        self.Hbar = np.zeros((self.state.width, 0))
-        self.mid_deflated = False
-
-    @property
-    def width(self):
-        return self.state.width
-
-    @property
-    def n_blocks(self):
-        return self.state.n_blocks
-
-    @property
-    def V(self):
-        return self.state.V
 
     def projections(self, m):
         return self.state.projections(m)
-
-    def last_block(self):
-        lo, hi = self.state.block_bounds[-2], self.state.block_bounds[-1]
-        return self.state.V[:, lo:hi], self.state.KV[:, lo:hi]
 
     def step(self, shift):
         """Append (K - shift I)^{-1} (last block), orthonormalized."""
@@ -232,17 +200,9 @@ class RationalKrylovBasis:
             cand = sparse_solve(fact, st.V[:, lo:hi])
         except SingularMatrix as exc:
             raise ShiftSingular(f"shift {shift} hits the spectrum") from exc
-        r0 = st.width
-        Vnew, accepted, coeffs = _cgs2_append(st.V, cand, st.deftol)
+        Vnew, _ = _cgs2_append(st.V, cand, st.deftol)
         if Vnew.shape[1] == 0:
             raise Breakdown("new block entirely deflated: invariant subspace")
-        if len(accepted) < cand.shape[1]:
-            self.mid_deflated = True
-        r1 = r0 + Vnew.shape[1]
-        Hext = np.zeros((r1, self.Hbar.shape[1] + cand.shape[1]))
-        Hext[:r0, :self.Hbar.shape[1]] = self.Hbar
-        Hext[:coeffs.shape[0], self.Hbar.shape[1]:] = coeffs
-        self.Hbar = Hext
         st.append_block(Vnew)
 
 
