@@ -25,11 +25,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .discretization import assemble_rhs, assemble_space_operator, sample_space_function
-from .errors import ConfigError, NoConvergence
+from .errors import ConfigError, EvosylvError, NoConvergence
 from .oracles import dense_kron_solve, timestep_solve
 from .presets import PRESET_NAMES, get_preset
-from .solver import (INNERS, materialize, solve_eksm, solve_eksm_separable,
-                     solve_rksm)
+from .solver import materialize, solve_eksm, solve_eksm_separable, solve_rksm
 from .timeops import build_time_operator
 
 logger = logging.getLogger("evosylv")
@@ -54,7 +53,6 @@ class RunConfig:
     ell: int = 64
     s: int = 1
     method: str = "eksm"
-    inner: str = "fft_smw"
     separable: str = "auto"
     tol: float = 1e-6
     m_max: int = 60
@@ -67,8 +65,6 @@ class RunConfig:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}")
-        if self.inner not in INNERS:
-            raise ConfigError(f"inner must be one of {INNERS}")
         if self.separable not in SEPARABLE_MODES:
             raise ConfigError(f"separable must be one of {SEPARABLE_MODES}")
         if self.tol <= 0 or self.m_max < 1:
@@ -130,7 +126,7 @@ def run(config):
 
     record = dict(preset=config.preset, d=spec.grid.d, n=config.n,
                   ell=config.ell, s=config.s, method=config.method,
-                  inner=config.inner, error_vs_oracle=None,
+                  inner="fft_smw", error_vs_oracle=None,
                   error_vs_analytic=None, tol=config.tol, m_max=config.m_max,
                   epsilon=config.epsilon, separable=config.separable,
                   seed=config.seed)
@@ -153,14 +149,12 @@ def run(config):
                 use_sep = False
             record["tensorized"] = use_sep
             solve = solve_eksm_separable if use_sep else solve_eksm
-            sol, rep = solve(op, rhs, timeop, tol=config.tol,
-                             m_max=config.m_max, inner=config.inner)
+            sol, rep = solve(op, rhs, timeop, tol=config.tol, m_max=config.m_max)
         else:
             if config.separable == "on":
                 raise ConfigError("the rational method has no tensorized variant here")
             sol, rep = solve_rksm(op, rhs, timeop, tol=config.tol,
-                                  m_max=config.m_max, inner=config.inner,
-                                  seed=config.seed)
+                                  m_max=config.m_max, seed=config.seed)
         record.update(iterations=rep.iterations,
                       final_residual=rep.residual_history[-1],
                       wall_time_s=rep.wall_time, memory_units=rep.memory_units,
@@ -289,7 +283,6 @@ def build_parser():
     ap.add_argument("--ell", type=int)
     ap.add_argument("--s", type=int)
     ap.add_argument("--method", choices=METHODS)
-    ap.add_argument("--inner", choices=INNERS)
     ap.add_argument("--separable", choices=SEPARABLE_MODES)
     ap.add_argument("--tol", type=float)
     ap.add_argument("--mmax", type=int, dest="m_max")
@@ -347,12 +340,12 @@ def main(argv=None):
             else:
                 print(CSV_HEADER)
                 print(record.csv_row())
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return 3
+    except EvosylvError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -16,10 +16,6 @@ class SingularMatrix(EvosylvError):
     """A sparse factorization or solve hit an (exactly) singular matrix."""
 
 
-class NonDiagonalizable(EvosylvError):
-    """Eigenvector matrix too ill-conditioned to trust the eigendecomposition."""
-
-
 # --- discretization --------------------------------------------------------
 
 class UnsupportedDimension(EvosylvError):
@@ -62,10 +58,6 @@ class ShiftSingular(EvosylvError):
 
 class SingularProjectedMatrix(EvosylvError):
     """Projected coefficient matrix is singular."""
-
-
-class EigFallback(EvosylvError):
-    """FFT+SMW inner solver declined; caller should use the sequential path."""
 
 
 class ResonantEigenvalue(EvosylvError):

@@ -13,11 +13,13 @@ Krylov on the whole interior, or one extended basis per dimension
 
     (I + tau*beta*T_m) Y - Y sigma^T = rhs_left rhs_right^T
 
-is solved either column-by-column (one LU, ell triangular solves) or through
-the circulant splitting of sigma: diagonalize the small coefficient matrix,
-diagonalize the circulant by FFT, and absorb the rank-s corner correction
-with the Sherman-Morrison-Woodbury identity. The two inner paths agree to
-rounding and are tested against each other.
+is solved through the circulant splitting of sigma: FFT diagonalizes the
+circulant, the complex Schur form of the small coefficient matrix makes the
+equation upper triangular, and each row, solved from the bottom up, absorbs
+the rank-s corner correction with the Sherman-Morrison-Woodbury identity.
+A unitary Schur factor needs no conditioning guard. Only a projected order
+above DENSE_EIG_BOUND takes the column-by-column recursion (one LU, ell
+triangular solves), which also serves as the test oracle.
 """
 
 import time
@@ -29,19 +31,11 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .discretization import SpaceOperator, eliminate_boundary, kron_vectors
-from .errors import (EigFallback, IndexOutOfRange, NotSeparable,
-                     ResonantEigenvalue, ShiftSingular,
-                     SingularProjectedMatrix)
-from .kernels import DENSE_EIG_BOUND, NonDiagonalizable, dense_eig, fft, ifft
+from .errors import (IndexOutOfRange, NotSeparable, ResonantEigenvalue,
+                     ShiftSingular, SingularProjectedMatrix)
+from .kernels import DENSE_EIG_BOUND, dense_eig, fft, ifft
 from .krylov import (Breakdown, ExtendedKrylovBasis, RationalKrylovBasis,
                      ShiftState, next_shift, spectral_bounds)
-
-#: Eigenvector conditioning beyond which the FFT+SMW path declines.
-SMW_COND_LIMIT = 1e12
-
-#: The inner solvers an outer solve may ask for.
-INNERS = ("fft_smw", "sequential")
-
 
 @dataclass
 class ProjectedProblem:
@@ -94,13 +88,17 @@ class SmwCache:
         self.NM = self.N[:, :, None] * self.M[:, None, :]
 
 
-def inner_solve_fft_smw(prob, cache=None, max_cond=SMW_COND_LIMIT):
-    """Solve the projected equation via eigendecomposition + FFT + SMW.
+def inner_solve_fft_smw(prob, cache=None):
+    """Solve the projected equation via complex Schur + FFT + SMW.
 
-    No loop over the ell columns: only batched transforms, Hadamard
-    products, and one structured solve of order s * r for the corner
-    correction. Raises EigFallback / ResonantEigenvalue when the
-    decomposition cannot be trusted; callers then use the sequential path.
+    With A_small = Q T Q^H and X = Q^H Y F^T (F the DFT), the equation reads
+    T X - X diag(pi) + X N M^T = Q^H rhs_left (F rhs_right)^T. Row i, for
+    all Fourier modes at once, is (T_ii - pi) x_i + (x_i N) M^T = g_i -
+    sum_{j>i} T_ij x_j: a diagonal plus a rank-s corner, solved with one
+    s x s SMW system per row. No loop over the ell columns. Raises
+    ResonantEigenvalue when an eigenvalue of A_small meets a circulant
+    eigenvalue, and SingularProjectedMatrix when a row's SMW system is
+    singular (by the determinant lemma, only when A_small is).
     """
     timeop = prob.timeop
     A = np.asarray(prob.A_small, dtype=float)
@@ -108,15 +106,10 @@ def inner_solve_fft_smw(prob, cache=None, max_cond=SMW_COND_LIMIT):
     L = prob.rhs_right.shape[0]
     if r == 0:
         return np.zeros((0, L))
-    if r > DENSE_EIG_BOUND:
-        raise EigFallback(f"projected order {r} exceeds dense eig bound")
     if cache is None:
         cache = SmwCache(timeop, prob.rhs_right)
-    try:
-        ed = dense_eig(A, max_cond=max_cond)
-    except NonDiagonalizable as exc:
-        raise EigFallback(str(exc)) from exc
-    lam = ed.lambdas
+    T, Q = dense_eig(A)
+    lam = np.diag(T)
     pi = timeop.circ_eigs
     diff = lam[:, None] - pi[None, :]
     scale = max(np.abs(lam).max(), np.abs(pi).max(), 1.0)
@@ -124,33 +117,43 @@ def inner_solve_fft_smw(prob, cache=None, max_cond=SMW_COND_LIMIT):
         raise ResonantEigenvalue(
             "an eigenvalue of A_small collides with a circulant eigenvalue")
     H = 1.0 / diff
-    s = timeop.scheme.s
-    Z = H * ((ed.S_inv @ prob.rhs_left) @ cache.FRT)
     Cb = np.tensordot(H, cache.NM, axes=(1, 0))        # (r, s, s)
     try:
-        P = np.linalg.solve(np.eye(s) + Cb, (Z @ cache.N)[:, :, None])[:, :, 0]
+        C_inv = np.linalg.inv(np.eye(timeop.scheme.s) + Cb)
     except np.linalg.LinAlgError as exc:
-        raise EigFallback(f"SMW correction solve failed: {exc}") from exc
-    W = H * (P @ cache.M.T)
-    Y = ed.S @ ifft(Z - W, axis=1)
-    imag = np.linalg.norm(Y.imag)
-    real_norm = np.linalg.norm(Y.real)
-    if imag > 1e-10 * max(real_norm, 1e-300):
-        raise EigFallback(
-            f"imaginary residue {imag:.3e} exceeds 1e-10 of ||Y|| = {real_norm:.3e}")
-    return np.ascontiguousarray(Y.real)
+        raise SingularProjectedMatrix(f"SMW correction is singular: {exc}") from exc
+    X = (Q.conj().T @ prob.rhs_left) @ cache.FRT
+    _back_substitute(T, X, H, C_inv, cache, 0, r)
+    X = ifft(X, axis=1)
+    return Q.real @ X.real - Q.imag @ X.imag       # Y = Q X is real
 
 
-def solve_projected(prob, inner="fft_smw", cache=None):
-    """Dispatch with automatic fallback to the sequential path."""
-    if inner == "sequential":
+def _back_substitute(T, X, H, C_inv, cache, lo, hi):
+    """Overwrite rows lo..hi-1 of X with the solution of the triangular rows.
+
+    Rows below hi are already solved and subtracted. The lower half is
+    solved first and enters the upper half in one GEMM; blocks of at most
+    8 rows go row by row, since their GEMMs are too small to pay off.
+    """
+    if hi - lo > 8:
+        mid = (lo + hi) // 2
+        _back_substitute(T, X, H, C_inv, cache, mid, hi)
+        X[lo:mid] -= T[lo:mid, mid:hi] @ X[mid:hi]
+        _back_substitute(T, X, H, C_inv, cache, lo, mid)
+        return
+    for i in range(hi - 1, lo - 1, -1):
+        x = X[i]                                        # a view, updated in place
+        x -= T[i, i + 1:hi] @ X[i + 1:hi]
+        x *= H[i]
+        x -= H[i] * (cache.M @ (C_inv[i] @ (x @ cache.N)))
+
+
+def solve_projected(prob, cache):
+    """FFT+SMW up to order DENSE_EIG_BOUND, the column recursion above it;
+    returns the solution and the name of the path taken."""
+    if prob.A_small.shape[0] > DENSE_EIG_BOUND:
         return inner_solve_sequential(prob), "sequential"
-    if inner != "fft_smw":
-        raise ValueError(f"unknown inner solver {inner!r}")
-    try:
-        return inner_solve_fft_smw(prob, cache=cache), "fft_smw"
-    except (EigFallback, ResonantEigenvalue):
-        return inner_solve_sequential(prob), "sequential"
+    return inner_solve_fft_smw(prob, cache=cache), "fft_smw"
 
 
 # --- factored solutions and reports -------------------------------------------
@@ -225,7 +228,7 @@ def _layout(n_bases):
 
 
 def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
-                inner, history):
+                history):
     """The loop every outer solver shares; only the projection differs.
 
     ``eliminate_boundary`` splits off the boundary block once; the loop then
@@ -242,8 +245,6 @@ def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
     vanishes (lucky termination).
     """
     t0 = time.perf_counter()
-    if inner not in INNERS:
-        raise ValueError(f"unknown inner solver {inner!r}")
     L = timeop.ell
     op_I, rhs_I, boundary = eliminate_boundary(op, rhs, timeop.scheme)
     if tensor and boundary is not None:
@@ -252,10 +253,10 @@ def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
     if rhs_I.initial_norm() == 0.0:
         bases = [np.zeros((op_I.n, 0))] * op.d if tensor else [np.zeros((op_I.size, 0))]
         Y = np.zeros((0, L))
-        m, res_hist, converged, used_inner = 1, [0.0], True, {inner}
+        m, res_hist, converged, used_inner = 1, [0.0], True, {"fft_smw"}
     else:
         projection = start(op_I, rhs_I)
-        cache = SmwCache(timeop, rhs_I.right) if inner == "fft_smw" else None
+        cache = SmwCache(timeop, rhs_I.right)
         res_hist, used_inner = [], set()
         grown = True
         for m in range(1, m_max + 1):
@@ -263,7 +264,7 @@ def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
             A_small, rhs_left = projection.reduced(m)
             prob = ProjectedProblem(A_small=A_small, rhs_left=rhs_left,
                                     rhs_right=rhs_I.right, timeop=timeop)
-            Y, used = solve_projected(prob, inner, cache)
+            Y, used = solve_projected(prob, cache)
             used_inner.add(used)
             rel = projection.residual(Y) / delta if grown else 0.0
             res_hist.append(rel)
@@ -463,8 +464,7 @@ class _TensorizedProjection:
 # --- the outer solvers -----------------------------------------------------------
 
 
-def solve_eksm(op, rhs, timeop, tol=1e-6, m_max=60, inner="fft_smw",
-               history=None):
+def solve_eksm(op, rhs, timeop, tol=1e-6, m_max=60, history=None):
     """Left-projection extended Krylov solve of the all-at-once equation.
 
     Stops when tau*beta ||E_{m+1}^T Tbar_m Y_m||_F <= delta * tol; on an
@@ -473,11 +473,10 @@ def solve_eksm(op, rhs, timeop, tol=1e-6, m_max=60, inner="fft_smw",
     """
     return _outer_loop(op, rhs, timeop, _ExtendedProjection, False,
                        lambda m: eksm_memory_units(m, rhs.width, op.size, timeop.ell),
-                       tol, m_max, inner, history)
+                       tol, m_max, history)
 
 
-def solve_eksm_separable(op, rhs, timeop, tol=1e-6, m_max=60,
-                         inner="fft_smw", history=None):
+def solve_eksm_separable(op, rhs, timeop, tol=1e-6, m_max=60, history=None):
     """Tensorized extended Krylov solve: one 1D subspace per dimension.
 
     Requires a pure Kronecker-sum operator and separable right-hand-side
@@ -494,7 +493,7 @@ def solve_eksm_separable(op, rhs, timeop, tol=1e-6, m_max=60,
               for i in range(d)]
     return _outer_loop(op, rhs, timeop, _TensorizedProjection, True,
                        lambda m: eksm_separable_memory_units(m, widths, n, timeop.ell),
-                       tol, m_max, inner, history)
+                       tol, m_max, history)
 
 
 def _factor_groups(separable, d, n):
@@ -503,11 +502,10 @@ def _factor_groups(separable, d, n):
             for g in separable]
 
 
-def solve_rksm(op, rhs, timeop, tol=1e-6, m_max=60, inner="fft_smw",
-               history=None, seed=0):
+def solve_rksm(op, rhs, timeop, tol=1e-6, m_max=60, history=None, seed=0):
     """Rational Krylov solve with adaptive real shifts; ``seed`` drives the
     estimate of the spectral interval the shifts are chosen from."""
     return _outer_loop(op, rhs, timeop,
                        lambda op_I, rhs_I: _RationalProjection(op_I, rhs_I, seed),
                        False, lambda m: rksm_memory_units(m, rhs.width, op.size, timeop.ell),
-                       tol, m_max, inner, history)
+                       tol, m_max, history)

@@ -54,6 +54,13 @@ def test_invalid_preset_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_numerical_error_exit_code(capsys):
+    # BDF3 on example2, which has no known solution for the extra initial
+    # values: MissingInitialValues is reported, not raised
+    assert main(["--preset", "example2", "--n", "16", "--ell", "64", "--s", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_csv_header_exact():
     assert CSV_HEADER == ("preset,d,n,ell,s,method,inner,iterations,"
                           "final_residual,wall_time_s,memory_units,"
