@@ -15,11 +15,15 @@ Conventions (pinned by tests):
   directly off the assembled matrix, so boundary data are reproduced exactly
   for every dimension and BDF order. These boundary rows and
   ``boundary_defect`` serve the full-grid right-hand side and the oracles
-  only: the solvers call ``eliminate_boundary``, which solves the closed
-  boundary subsystem on its own and leaves the interior unknowns with
-  (I + tau*beta*K_II) U_I - U_I Sigma^T = F_I - tau*beta*K_IB U_B, the
-  same discrete system with the Dirichlet values moved to the right-hand
-  side.
+  only.
+* Dirichlet data win: the boundary rows of the initial values u_0 ..
+  u_{s-1} are g(t_j) (zero without g), so the boundary block of the
+  solution is the sampled g, U_B = g(t_k) at every step. ``assemble_rhs``
+  assembles it as a factor ``LowRankRhs.boundary``; nothing solves for it.
+  The solvers call ``eliminate_boundary``, which leaves the interior
+  unknowns with (I + tau*beta*K_II) U_I - U_I Sigma^T = F_I -
+  tau*beta*K_IB U_B, the same discrete system with the Dirichlet values
+  moved to the right-hand side.
 * The source part of the right-hand side stays factored. Without an
   interior source f only the boundary rows can be nonzero, so only they are
   sampled; with f every row is. Samples are taken SOURCE_CHUNK time steps
@@ -34,10 +38,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (MissingInitialValues, NonSeparableWind, SingularMatrix,
-                     TooFewSteps, UnsupportedDimension)
+from .errors import (MissingInitialValues, NonSeparableWind, TooFewSteps,
+                     UnsupportedDimension)
 from .kernels import sparse_factorize, sparse_solve
-from .timeops import BdfScheme, bdf_coefficients
+from .timeops import BdfScheme
 
 
 @dataclass(frozen=True)
@@ -85,12 +89,6 @@ class Grid:
     def times(self):
         """Time nodes t_1..t_ell (t_0 = 0 excluded)."""
         return self.tau * np.arange(1, self.ell + 1)
-
-
-def square_grid(d, n, ell, length=1.0, T=1.0, origin=0.0):
-    """Grid on (origin, origin+length)^d, mostly for tests."""
-    return Grid(d=d, n=n, domain=tuple((origin, origin + length) for _ in range(d)),
-                T=T, ell=ell)
 
 
 # --- node ordering helpers ---------------------------------------------------
@@ -243,10 +241,6 @@ class ProblemSpec:
         return self.grid.tau * self.scheme.beta
 
 
-def problem_spec(kind, grid, s=1, **kwargs):
-    return ProblemSpec(kind=kind, grid=grid, scheme=bdf_coefficients(s), **kwargs)
-
-
 # --- assembled space operator ------------------------------------------------
 
 
@@ -274,10 +268,6 @@ class SpaceOperator:
     @property
     def size(self):
         return self.n ** self.d
-
-    @property
-    def is_kron_sum(self):
-        return self.factors is not None
 
     def interior_indices(self):
         """Sorted linear indices of the nodes that are not boundary nodes."""
@@ -415,11 +405,15 @@ class LowRankRhs:
     then the source columns F1 paired with tau*beta*F2. ``separable``, when
     present, lists (per-dimension spatial factors, matching right columns)
     for each group, and their Kronecker products reproduce ``left``.
+    ``boundary``, when present, holds factors (G1, G2) of the boundary
+    block U_B = G1 G2^T of the solution (rows: the boundary nodes); it is
+    None when U_B = 0.
     """
 
     left: np.ndarray
     right: np.ndarray
     separable: list = None
+    boundary: tuple = None
 
     @property
     def width(self):
@@ -469,27 +463,35 @@ def _sample_u0(spec):
     return sample_space_function(grid, spec.u0)
 
 
-def _initial_value_list(spec):
+def _sample_at(fn, coords, t):
+    """fn(*coords, t) as a float array of the coordinates' shape."""
+    return np.broadcast_to(np.asarray(fn(*coords, t), dtype=float), coords[0].shape)
+
+
+def _initial_value_list(spec, op):
     """u_0 .. u_{s-1} as grid vectors; extras sampled from the analytic
-    solution when not supplied explicitly."""
-    s = spec.scheme.s
+    solution when not supplied explicitly. Dirichlet data win: the boundary
+    rows of u_j are g(t_j), or zero without g."""
+    s, tau = spec.scheme.s, spec.grid.tau
     us = [_sample_u0(spec)]
-    if s == 1:
-        return us
     extras = spec.extra_initial_values
-    if extras is not None:
-        extras = [np.asarray(u, dtype=float) for u in extras]
+    if s > 1 and extras is not None:
         if len(extras) != s - 1:
             raise MissingInitialValues(
                 f"order {s} needs {s - 1} extra initial values, got {len(extras)}")
-        return us + extras
-    if spec.analytic is None:
-        raise MissingInitialValues(
-            f"BDF order {s} requires {s - 1} extra initial values")
-    tau = spec.grid.tau
-    for k in range(1, s):
-        us.append(sample_space_function(spec.grid,
-                                        lambda *x, _t=k * tau: spec.analytic(*x, _t)))
+        us += [np.asarray(u, dtype=float) for u in extras]
+    elif s > 1:
+        if spec.analytic is None:
+            raise MissingInitialValues(
+                f"BDF order {s} requires {s - 1} extra initial values")
+        for k in range(1, s):
+            us.append(sample_space_function(
+                spec.grid, lambda *x, _t=k * tau: spec.analytic(*x, _t)))
+    us = [u.copy() for u in us]
+    g_coords = None if spec.g is None else boundary_coordinates(spec.grid)
+    for j, u in enumerate(us):
+        u[op.boundary_indices] = \
+            0.0 if spec.g is None else _sample_at(spec.g, g_coords, tau * j)
     return us
 
 
@@ -516,10 +518,13 @@ def assemble_rhs(spec, op):
     """Factored right-hand side [init cols, F1][e_1..e_s, tau*beta*F2]^T.
 
     The system has L = ell - s + 1 columns for time steps t_s .. t_ell; the s
-    initial-value columns fold u_0 .. u_{s-1} into the first s columns.
-    Boundary rows of the source part enforce the Dirichlet data exactly:
+    initial-value columns fold u_0 .. u_{s-1} into the first s columns; the
+    boundary rows of u_j are g(t_j), or zero without g. Boundary rows of the
+    source part carry the Dirichlet data in the full-grid form:
     (g(t_k) - sum_i alpha_i g(t_{k-i}))/(tau*beta) plus the compensation for
-    whatever the assembled boundary rows do beyond the identity.
+    whatever the assembled boundary rows do beyond the identity, so the
+    boundary rows of the full-grid solution are g(t_k). The same samples of
+    g give the boundary block U_B of ``LowRankRhs.boundary``.
 
     A separable source that vanishes on the boundary enters through its
     spatial and temporal factors. Any other source is streamed by
@@ -536,7 +541,7 @@ def assemble_rhs(spec, op):
     alphas = scheme.alphas
     tau = grid.tau
 
-    us = _initial_value_list(spec)
+    us = _initial_value_list(spec, op)
     init_left = np.empty((op.size, s))
     for q in range(s):
         c = np.zeros(op.size)
@@ -547,7 +552,7 @@ def assemble_rhs(spec, op):
     init_right[np.arange(s), np.arange(s)] = 1.0
 
     pieces_left, pieces_right = [], []
-    separable = None
+    separable = boundary = None
     if np.linalg.norm(init_left) > 0:
         pieces_left.append(init_left)
         pieces_right.append(init_right)
@@ -566,10 +571,11 @@ def assemble_rhs(spec, op):
     else:
         source = _source_factor(spec, op, L)
         if source is not None:
-            pieces_left.append(source[0])
-            pieces_right.append(source[1])
+            pieces_left.append(source.left)
+            pieces_right.append(source.right)
+            boundary = source.boundary
 
-    if not pieces_left:
+    if not any(piece.shape[1] for piece in pieces_left):
         pieces_left = [np.zeros((op.size, 1))]
         pieces_right = [np.zeros((L, 1))]
     left = np.hstack(pieces_left)
@@ -577,15 +583,26 @@ def assemble_rhs(spec, op):
 
     if s == 1:
         separable = _separable_groups(spec, op, left, right, L, tb)
-    return LowRankRhs(left=left, right=right, separable=separable)
+    return LowRankRhs(left=left, right=right, separable=separable, boundary=boundary)
 
 
 def _source_factor(spec, op, L):
-    """(F1, tau*beta*F2) with F1 F2^T the source columns, or None if they vanish.
+    """The source columns and the boundary block, or None without f and g.
 
-    Column q belongs to step k = s + q: f(t_k) on the interior rows and the
-    Dirichlet term of ``assemble_rhs`` on the boundary rows. Each chunk is
-    folded into the running factor by ``_fold``.
+    Returns a LowRankRhs: left @ right.T (possibly of width zero) are the
+    source columns times tau*beta, and ``boundary`` is U_B. Column q belongs
+    to step k = s + q: f(t_k) on the interior rows and the Dirichlet term of
+    ``assemble_rhs`` on the boundary rows. Each chunk is folded into the
+    running factor by ``_fold``.
+
+    The same samples of g give U_B = G1 G2^T with G1 = [g(t_{s-1}), dU] and
+    G2 = [1, cumsum(dW)]: the increments D = g(t_k) - g(t_{k-1}) are folded
+    into dU dW^T and summed back up in the right factor. The fold keeps
+    ||D - dU dW^T||_F <= SOURCE_TOL ||D||_F; the cumsum multiplies that
+    error by the L x L lower-triangular matrix of ones, whose 2-norm is
+    1/(2 sin(pi/(4L+2))) ~ 2L/pi, about what the BDF recursion does to an
+    error in the full-grid boundary rows. A time-constant g has no
+    increments and folds nothing.
     """
     if spec.f is None and spec.g is None:
         return None
@@ -604,36 +621,42 @@ def _source_factor(spec, op, L):
     if spec.g is not None:
         defect = op.boundary_defect()[:, bnd]
 
-    def sample(fn, at, t):
-        return np.broadcast_to(np.asarray(fn(*at, t), dtype=float), at[0].shape)
-
     starts = range(0, L, SOURCE_CHUNK)
     tol = SOURCE_TOL / np.sqrt(len(starts))
     U, W = np.zeros((rows, 0)), np.zeros((0, 0))
+    dU, dW = np.zeros((len(bnd), 0)), np.zeros((0, 0))
     for q0 in starts:
         steps = np.arange(s + q0, s + min(q0 + SOURCE_CHUNK, L))
         C = np.zeros((rows, len(steps)))
         if spec.f is not None:
             for j, k in enumerate(steps):
-                C[:, j] = sample(spec.f, coords, tau * k)
+                C[:, j] = _sample_at(spec.f, coords, tau * k)
             C[bnd] = 0.0
         if spec.g is not None:
             # g at steps[0] - s .. steps[-1]: column j + s is step steps[j]
-            G = np.column_stack([sample(spec.g, g_coords, tau * k)
+            G = np.column_stack([_sample_at(spec.g, g_coords, tau * k)
                                  for k in range(steps[0] - s, steps[-1] + 1)])
+            if q0 == 0:
+                g_start = G[:, s - 1]
             now = G[:, s:]
             tele = now.copy()
             for i in range(1, s + 1):
                 tele -= alphas[i - 1] * G[:, s - i:s - i + len(steps)]
             C[at_bnd] = (tele + defect @ now) / tb
+            dU, dW = _fold(dU, dW, np.diff(G[:, s - 1:]), tol)
         U, W = _fold(U, W, C, tol)
-    if U.shape[1] == 0:
-        return None
+    boundary = None
+    if spec.g is not None:
+        G1 = np.column_stack([g_start, dU])
+        G2 = np.column_stack([np.ones(L), np.cumsum(dW, axis=0)])
+        nonzero = G1.any(axis=0)
+        if nonzero.any():
+            boundary = (G1[:, nonzero], G2[:, nonzero])
     if spec.f is None:
         left = np.zeros((op.size, U.shape[1]))
         left[bnd] = U
         U = left
-    return U, tb * W
+    return LowRankRhs(U, tb * W, boundary=boundary)
 
 
 def _fold(U, W, C, tol):
@@ -649,50 +672,26 @@ def _fold(U, W, C, tol):
     return U, np.vstack([W @ Wn[:r], Wn[r:]])
 
 
-def _boundary_solution(op, rhs, scheme):
-    """Factors (G1, G2) of the boundary block U_B = G1 G2^T.
-
-    The boundary rows of a_full have only boundary columns, so U_B solves
-    the closed subsystem A_BB U_B - U_B Sigma^T = left_B right^T with
-    A_BB = a_full()[bnd][:, bnd]. One sparse LU of A_BB, then the BDF
-    recursion A_BB u_k = b_k + sum_j alpha_j u_{k-j} runs SOURCE_CHUNK steps
-    at a time and each chunk is folded into the factor by ``_fold``; the
-    memory stays O(|bnd| (rank + SOURCE_CHUNK)). Initial values that
-    disagree with g(0) on the boundary need no special case.
-    """
-    bnd = op.boundary_indices
-    lu = sparse_factorize(op.a_full()[bnd][:, bnd])
-    left_B, right = rhs.left[bnd], rhs.right
-    s, back = scheme.s, scheme.alphas[::-1]
-    starts = range(0, right.shape[0], SOURCE_CHUNK)
-    tol = SOURCE_TOL / np.sqrt(len(starts))
-    U, W = np.zeros((len(bnd), 0)), np.zeros((0, 0))
-    # row j of X is u_k for k = q0 + j - s; the first s rows carry the
-    # previous chunk's last steps (zeros before the first step)
-    X = np.zeros((s, len(bnd)))
-    for q0 in starts:
-        X = np.vstack([X[-s:], right[q0:q0 + SOURCE_CHUNK] @ left_B.T])
-        for j in range(s, X.shape[0]):
-            X[j] = lu.solve(X[j] + back @ X[j - s:j])
-        if not np.all(np.isfinite(X)):
-            raise SingularMatrix("boundary recursion produced non-finite values")
-        U, W = _fold(U, W, X[s:].T, tol)
-    return U, W
+def has_boundary_rows(op, rhs):
+    """True when the boundary rows of left @ right.T exceed SOURCE_TOL of
+    the whole right-hand side."""
+    rows = LowRankRhs(rhs.left[op.boundary_indices], rhs.right)
+    return rows.initial_norm() > SOURCE_TOL * rhs.initial_norm()
 
 
-def eliminate_boundary(op, rhs, scheme):
+def eliminate_boundary(op, rhs):
     """Split the all-at-once equation into its boundary and interior blocks.
 
-    Returns (op.interior(), interior right-hand side, boundary factors).
-    The boundary block U_B = G1 G2^T comes from ``_boundary_solution``; the
-    factors are None when left_B right^T is at most SOURCE_TOL of the whole
-    right-hand side, and U_B is then taken as zero. The interior unknowns
-    solve (I + tau*beta*K_II) U_I - U_I Sigma^T = F_I - tau*beta*K_IB U_B,
-    whose right-hand side [left_I, -tau*beta*K_IB G1] [right, G2]^T is
+    Returns (op.interior(), interior right-hand side, boundary factors). The
+    boundary block U_B = G1 G2^T is ``rhs.boundary``, assembled from g by
+    ``assemble_rhs``; nothing is solved for it. The interior unknowns solve
+    (I + tau*beta*K_II) U_I - U_I Sigma^T = F_I - tau*beta*K_IB U_B, whose
+    right-hand side [left_I, -tau*beta*K_IB G1] [right, G2]^T is
     recompressed: QR of each factor, then ``compress_snapshots`` of the
     small core with SOURCE_TOL. Without a boundary block the interior rows
     of ``left`` are kept as they are, with the separable groups restricted
-    to the interior nodes.
+    to the interior nodes; a right-hand side that has boundary rows but no
+    block raises ValueError.
     """
     op_I = op.interior()
     bnd = op.boundary_indices
@@ -700,17 +699,19 @@ def eliminate_boundary(op, rhs, scheme):
         return op_I, rhs, None
     keep = op.interior_indices()
     left_I = rhs.left[keep]
-    if LowRankRhs(rhs.left[bnd], rhs.right).initial_norm() <= \
-            SOURCE_TOL * rhs.initial_norm():
+    if rhs.boundary is None:
+        if has_boundary_rows(op, rhs):
+            raise ValueError("the right-hand side has boundary rows but no boundary "
+                             "block; build it with assemble_rhs")
         separable = None if rhs.separable is None else \
             [([f[1:-1] for f in facs], cols) for facs, cols in rhs.separable]
         return op_I, LowRankRhs(left_I, rhs.right, separable), None
-    G1, G2 = _boundary_solution(op, rhs, scheme)
+    G1, G2 = rhs.boundary
     coupling = -op.tau_beta * (op.matrix[keep][:, bnd] @ G1)
     Q1, R1 = np.linalg.qr(np.hstack([left_I, coupling]))
     Q2, R2 = np.linalg.qr(np.hstack([rhs.right, G2]))
     C1, C2 = compress_snapshots(R1 @ R2.T, SOURCE_TOL)
-    return op_I, LowRankRhs(Q1 @ C1, Q2 @ C2), (G1, G2)
+    return op_I, LowRankRhs(Q1 @ C1, Q2 @ C2), rhs.boundary
 
 
 def _separable_groups(spec, op, left, right, L, tb):

@@ -142,7 +142,6 @@ class ExtendedKrylovBasis(_Basis):
         w = B.shape[1]
         self._splits = [sum(1 for j in accepted if j < w)]
         self.state.append_block(Vnew)
-        self.gamma = Vnew.T @ B
 
     def projections(self, m):
         return self.state.projections(m)

@@ -9,14 +9,9 @@ example4   3D convection-diffusion, aligned wind, u0 from the steady solve
 
 import numpy as np
 
-from .discretization import (Grid, ProblemSpec, boundary_index_set,
-                             first_derivative_1d, kron_matrices, kron_sum,
-                             laplacian_1d)
+from .discretization import Grid, ProblemSpec, assemble_space_operator
 from .errors import ConfigError
-from .kernels import sparse_factorize, sparse_solve
 from .timeops import bdf_coefficients
-
-import scipy.sparse as sp
 
 PRESET_NAMES = ("example1", "example2", "example2_1", "example3", "example4")
 
@@ -64,28 +59,13 @@ def _example3(n, ell, s, epsilon):
         name="example3")
 
 
-def steady_convection_diffusion(grid, epsilon, wind, source=1.0):
-    """Solve -eps*Lap(g) + w.grad(g) = source, g = 0 on the boundary.
-
-    Desk-scale direct sparse solve; used to initialize example4.
-    """
-    n, h, d = grid.n, grid.h, grid.d
-    K_int = laplacian_1d(n, h)
-    B_int = first_derivative_1d(n, h)
-    M = epsilon * kron_sum([K_int] * d, n)
-    for i in range(d):
-        mats = []
-        for j in range(d):
-            D = sp.diags(wind[i][j](grid.axes()[j]))
-            mats.append(D @ B_int if j == i else D)
-        M = M + kron_matrices(mats)
-    bnd = boundary_index_set(n, d)
-    interior = np.ones(n ** d)
-    interior[bnd] = 0.0
-    A = (sp.diags(interior) @ M + sp.diags(1.0 - interior)).tocsr()
-    rhs = np.full(n ** d, float(source))
-    rhs[bnd] = 0.0
-    return sparse_solve(sparse_factorize(A), rhs)
+def _steady_state(spec):
+    """u with -eps*Lap(u) + w.grad(u) = 1 inside and u = 0 on the boundary:
+    one sparse solve with the interior operator K_II."""
+    op = assemble_space_operator(spec)
+    u = np.zeros(op.size)
+    u[op.interior_indices()] = op.interior().solve(np.ones(op.interior().size))
+    return u
 
 
 def _example4(n, ell, s, epsilon):
@@ -94,11 +74,11 @@ def _example4(n, ell, s, epsilon):
     wind = [(lambda x: x * np.sin(x), one, one),
             (one, lambda y: y * np.cos(y), one),
             (one, one, lambda z: np.exp(z**2 - 1.0))]
-    u0 = steady_convection_diffusion(grid, epsilon, wind)
-    return ProblemSpec(
+    spec = ProblemSpec(
         kind="convection-diffusion", grid=grid, scheme=bdf_coefficients(s),
-        epsilon=epsilon, wind=wind, wind_aligned=True, u0=u0,
-        name="example4")
+        epsilon=epsilon, wind=wind, wind_aligned=True, name="example4")
+    spec.u0 = _steady_state(spec)
+    return spec
 
 
 def get_preset(name, n, ell, s=1, epsilon=None):

@@ -1,15 +1,15 @@
 """Outer projection solvers and the fast inner solves.
 
 The outer methods share one loop. It splits off the Dirichlet boundary
-block, which solves a closed subsystem of its own, and works on the
-interior unknowns only: grow a Krylov basis of the interior operator K_II,
-project onto it, solve the small equation in time, and check a cheap
-residual-norm formula, which is exact because the Krylov space of K_II
-gives an exact Arnoldi relation for I + tau*beta*K_II. The boundary block
-is added back to the factored solution at the end. The solvers differ
-only in the projection: extended (solve_eksm) or rational (solve_rksm)
-Krylov on the whole interior, or one extended basis per dimension
-(solve_eksm_separable). The inner projected equation
+block, which ``assemble_rhs`` assembles from the sampled boundary data,
+and works on the interior unknowns only: grow a Krylov basis of the
+interior operator K_II, project onto it, solve the small equation in time,
+and check a cheap residual-norm formula, which is exact because the Krylov
+space of K_II gives an exact Arnoldi relation for I + tau*beta*K_II. The
+boundary block is added back to the factored solution at the end. The
+solvers differ only in the projection: extended (solve_eksm) or rational
+(solve_rksm) Krylov on the whole interior, or one extended basis per
+dimension (solve_eksm_separable). The inner projected equation
 
     (I + tau*beta*T_m) Y - Y sigma^T = rhs_left rhs_right^T
 
@@ -17,8 +17,9 @@ is solved through the circulant splitting of sigma: FFT diagonalizes the
 circulant, the complex Schur form of the small coefficient matrix makes the
 equation upper triangular, and each row, solved from the bottom up, absorbs
 the rank-s corner correction with the Sherman-Morrison-Woodbury identity.
-A unitary Schur factor needs no conditioning guard. Only a projected order
-above DENSE_EIG_BOUND takes the column-by-column recursion (one LU, ell
+A unitary Schur factor needs no eigenvector-conditioning guard; the s x s
+SMW systems of the rows are not checked for conditioning either. Only a
+projected order above DENSE_EIG_BOUND takes the column-by-column recursion (one LU, ell
 triangular solves), which also serves as the test oracle.
 """
 
@@ -30,7 +31,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .discretization import SpaceOperator, eliminate_boundary, kron_vectors
+from .discretization import (SpaceOperator, eliminate_boundary,
+                             has_boundary_rows, kron_vectors)
 from .errors import (IndexOutOfRange, NotSeparable, ResonantEigenvalue,
                      ShiftSingular, SingularProjectedMatrix)
 from .kernels import DENSE_EIG_BOUND, dense_eig, fft, ifft
@@ -231,9 +233,10 @@ def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
                 history):
     """The loop every outer solver shares; only the projection differs.
 
-    ``eliminate_boundary`` splits off the boundary block once; the loop then
-    solves the interior equation. ``start(op_I, rhs_I)`` builds the
-    projection, once the interior right-hand side is known to be nonzero.
+    ``eliminate_boundary`` splits off the boundary block ``rhs.boundary``
+    once; the loop then solves the interior equation. ``start(op_I,
+    rhs_I)`` builds the projection, once the interior right-hand side is
+    known to be nonzero.
     A projection offers ``grow()`` (False on breakdown or when every
     dimension is frozen), ``reduced(m)`` returning (A_small, rhs_left) and
     setting ``r``, ``residual(Y)`` (absolute norm) and ``bases()``, its
@@ -246,9 +249,9 @@ def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
     """
     t0 = time.perf_counter()
     L = timeop.ell
-    op_I, rhs_I, boundary = eliminate_boundary(op, rhs, timeop.scheme)
-    if tensor and boundary is not None:
+    if tensor and (rhs.boundary is not None or has_boundary_rows(op, rhs)):
         raise NotSeparable("the tensorized path needs data that vanish on the boundary")
+    op_I, rhs_I, boundary = eliminate_boundary(op, rhs)
     delta = rhs.initial_norm()
     if rhs_I.initial_norm() == 0.0:
         bases = [np.zeros((op_I.n, 0))] * op.d if tensor else [np.zeros((op_I.size, 0))]

@@ -11,7 +11,7 @@ import pytest
 
 from evosylv.cli import RunConfig, convergence_study, run
 from evosylv.discretization import (assemble_rhs, assemble_space_operator,
-                                    kron_vectors, problem_spec, square_grid)
+                                    kron_vectors)
 from evosylv.kernels import fft, ifft
 from evosylv.oracles import timestep_solve
 from evosylv.presets import get_preset
@@ -19,6 +19,8 @@ from evosylv.solver import (ProjectedProblem, inner_solve_fft_smw,
                             inner_solve_sequential, materialize, solve_eksm,
                             solve_eksm_separable, solve_rksm)
 from evosylv.timeops import build_time_operator
+
+from helpers import problem_spec, square_grid
 
 
 def _report(num, label, elapsed, budget):

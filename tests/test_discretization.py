@@ -11,12 +11,13 @@ from evosylv.discretization import (SOURCE_CHUNK, Grid, assemble_rhs,
                                     boundary_index_set, compress_snapshots,
                                     first_derivative_1d, kron_vectors,
                                     laplacian_1d, modify_for_boundary,
-                                    problem_spec, sample_space_function,
-                                    square_grid)
+                                    sample_space_function)
 from evosylv.errors import MissingInitialValues, NonSeparableWind
 from evosylv.oracles import timestep_solve
 from evosylv.presets import get_preset
 from evosylv.timeops import bdf_coefficients, build_time_operator
+
+from helpers import problem_spec, square_grid
 
 rng = np.random.default_rng(5)
 
@@ -55,7 +56,7 @@ def dense_source_factor(spec, op, L):
     if np.linalg.norm(Fd) == 0:
         return None
     F1, F2 = compress_snapshots(Fd, 1e-12)
-    return F1, tb * F2
+    return discretization.LowRankRhs(F1, tb * F2)
 
 
 class TestOneDimOperators:
@@ -257,11 +258,15 @@ class TestOrderingConvention:
 
 class TestRhsAssembly:
     def test_homogeneous_heat(self):
+        # without g the Dirichlet value 0 wins over u0 = sin on the boundary
         spec = heat_spec(1, 8, 5, u0=np.sin)
         op = assemble_space_operator(spec)
         rhs = assemble_rhs(spec, op)
         assert rhs.width == 1
-        assert np.allclose(rhs.left[:, 0], np.sin(spec.grid.axes()[0]))
+        expected = np.sin(spec.grid.axes()[0])
+        expected[[0, -1]] = 0.0
+        assert np.array_equal(rhs.left[:, 0], expected)
+        assert rhs.boundary is None
         e1 = np.zeros(5)
         e1[0] = 1.0
         assert np.allclose(rhs.right[:, 0], e1)
@@ -370,9 +375,18 @@ def _bdf2_f_and_g(n, ell):
     return dataclasses.replace(spec, extra_initial_values=[extra])
 
 
-def _wall_1d(n, ell):
+def _wall_1d(n, ell, u0=None):
     wall = lambda x: np.where(x == 0.0, 1.0, 0.0)
-    return heat_spec(1, n, ell, u0=wall, g=lambda x, t: wall(x))
+    return heat_spec(1, n, ell, u0=wall if u0 is None else np.full(n, u0),
+                     g=lambda x, t: wall(x))
+
+
+def _boundary_samples(spec, op):
+    """g(t_k) on the boundary nodes for the steps k = s .. ell, one column each."""
+    coords = discretization.boundary_coordinates(spec.grid)
+    steps = range(spec.scheme.s, spec.grid.ell + 1)
+    return np.column_stack([np.broadcast_to(spec.g(*coords, spec.grid.tau * k),
+                                            coords[0].shape) for k in steps])
 
 
 class TestStreamedSource:
@@ -455,7 +469,7 @@ class TestEliminateBoundary:
         rhs = assemble_rhs(spec, op)
         s = spec.scheme.s
         top = build_time_operator(s, spec.grid.ell - s + 1)
-        op_I, rhs_I, (G1, G2) = discretization.eliminate_boundary(op, rhs, spec.scheme)
+        op_I, rhs_I, (G1, G2) = discretization.eliminate_boundary(op, rhs)
         U = timestep_solve(op, rhs, top).U
         bnd, keep = op.boundary_indices, op.interior_indices()
         UB = U[bnd]
@@ -472,26 +486,44 @@ class TestEliminateBoundary:
         spec = get_preset("example3", 16, 200, epsilon=0.01)
         op = assemble_space_operator(spec)
         rhs = assemble_rhs(spec, op)
-        _, rhs_I, (G1, _) = discretization.eliminate_boundary(op, rhs, spec.scheme)
+        _, rhs_I, (G1, _) = discretization.eliminate_boundary(op, rhs)
         assert rhs.width == 2 and rhs_I.width == 1 and G1.shape[1] == 1
 
-    def test_inconsistent_initial_values_widen_the_boundary_block(self):
-        spec = _inconsistent_hot_wall(16, 200, 1)
+    @pytest.mark.parametrize("build", [
+        lambda: _wall_1d(8, 150, u0=0.0),
+        lambda: _inconsistent_hot_wall(8, 140, 1),
+        lambda: _inconsistent_hot_wall(8, 140, 2),
+    ], ids=["wall_1d", "example3_bdf1", "example3_bdf2"])
+    def test_dirichlet_data_win(self, build):
+        # u0 = 0 against a hot wall: the boundary rows of the time-stepped
+        # solution are g at every step, and so is the assembled block
+        spec = build()
         op = assemble_space_operator(spec)
-        _, _, (G1, _) = discretization.eliminate_boundary(
-            op, assemble_rhs(spec, op), spec.scheme)
-        assert G1.shape[1] > 1
+        rhs = assemble_rhs(spec, op)
+        s = spec.scheme.s
+        top = build_time_operator(s, spec.grid.ell - s + 1)
+        g = _boundary_samples(spec, op)
+        U = timestep_solve(op, rhs, top).U
+        assert np.abs(U[op.boundary_indices] - g).max() <= 1e-12 * np.abs(g).max()
+        G1, G2 = rhs.boundary
+        assert np.abs(G1 @ G2.T - g).max() <= 1e-12 * np.abs(g).max()
+
+    def test_block_missing_from_boundary_data_is_refused(self):
+        spec = get_preset("example3", 8, 20, epsilon=0.01)
+        op = assemble_space_operator(spec)
+        rhs = assemble_rhs(spec, op)
+        with pytest.raises(ValueError, match="assemble_rhs"):
+            discretization.eliminate_boundary(op, discretization.LowRankRhs(rhs.left, rhs.right))
 
     def test_no_boundary_data_skips_the_boundary_solve(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("boundary solve ran")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("boundary block recompressed")
 
-        monkeypatch.setattr(discretization, "_boundary_solution", forbidden)
+        monkeypatch.setattr(discretization, "compress_snapshots", forbidden)
         for spec in (get_preset("example2", 9, 12), get_preset("example2_1", 5, 8)):
             op = assemble_space_operator(spec)
             rhs = assemble_rhs(spec, op)
-            op_I, rhs_I, boundary = discretization.eliminate_boundary(
-                op, rhs, spec.scheme)
+            op_I, rhs_I, boundary = discretization.eliminate_boundary(op, rhs)
             assert boundary is None
             assert np.array_equal(rhs_I.left, rhs.left[op.interior_indices()])
             assert rhs_I.right is rhs.right
@@ -509,7 +541,7 @@ class TestEliminateBoundary:
         op.interior()
         tracemalloc.start()
         try:
-            discretization.eliminate_boundary(op, rhs, spec.scheme)
+            discretization.eliminate_boundary(op, rhs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,12 +3,13 @@ import pytest
 import scipy.sparse as sp
 
 from evosylv.discretization import (LowRankRhs, SpaceOperator, assemble_rhs,
-                                    assemble_space_operator, square_grid,
-                                    problem_spec)
+                                    assemble_space_operator)
 from evosylv.errors import TooLarge
 from evosylv.oracles import analytic_example1, dense_kron_solve, timestep_solve
 from evosylv.presets import get_preset
 from evosylv.timeops import build_time_operator
+
+from helpers import problem_spec, square_grid
 
 rng = np.random.default_rng(9)
 

@@ -5,8 +5,7 @@ import pytest
 
 from evosylv import discretization, kernels, krylov, solver
 from evosylv.discretization import (LowRankRhs, assemble_rhs,
-                                    assemble_space_operator, kron_vectors,
-                                    problem_spec, square_grid)
+                                    assemble_space_operator, kron_vectors)
 from evosylv.errors import (IndexOutOfRange, NotSeparable, ShiftSingular,
                             SingularMatrix)
 from evosylv.oracles import timestep_solve
@@ -16,6 +15,8 @@ from evosylv.solver import (FactoredSolution, eksm_memory_units,
                             materialize, rksm_memory_units, solve_eksm,
                             solve_eksm_separable, solve_rksm)
 from evosylv.timeops import build_time_operator
+
+from helpers import problem_spec, square_grid
 
 rng = np.random.default_rng(33)
 
@@ -478,10 +479,13 @@ class TestInteriorUnknowns:
         assert rep.converged
         Uo = timestep_solve(op, rhs, top).U
         assert np.linalg.norm(materialize(sol) - Uo) <= 1e-8 * np.linalg.norm(Uo)
-        # the hot wall is one time-constant column; initial values that
-        # disagree with it give the boundary block a transient
+        # Dirichlet data win: whatever the initial values, the boundary rows
+        # are the hot wall at every step, one time-constant column
         boundary_rank = sol.bases[0].shape[1] - rep.basis_dims[0]
-        assert (boundary_rank == 1) if consistent else (boundary_rank > 1)
+        assert boundary_rank == 1
+        wall = np.where(op.boundary_indices % n == 0, 1.0, 0.0)
+        UB = materialize(sol)[op.boundary_indices]
+        assert np.abs(UB - wall[:, None]).max() <= 1e-12
 
     @pytest.mark.parametrize("method", [solve_eksm, solve_eksm_separable, solve_rksm])
     def test_example2_matches_oracle(self, method):
