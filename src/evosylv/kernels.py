@@ -1,6 +1,6 @@
 """Numerical primitives with fixed contracts.
 
-Thin wrappers around LAPACK/SuperLU/pocketfft that pin down the conventions
+Thin wrappers around LAPACK/SuperLU/numpy.fft that pin down the conventions
 the rest of the package relies on:
 
 * ``dense_eig``      complex Schur form A = Q T Q^H of a small (possibly
@@ -21,7 +21,6 @@ from the first factorization made through it.
 """
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -54,12 +53,12 @@ def dense_eig(A):
 
 def fft(v, axis=-1):
     """Discrete Fourier transform, any length (mixed radix / Bluestein)."""
-    return scipy.fft.fft(np.asarray(v), axis=axis)
+    return np.fft.fft(v, axis=axis)
 
 
 def ifft(v, axis=-1):
     """Inverse of :func:`fft`."""
-    return scipy.fft.ifft(np.asarray(v), axis=axis)
+    return np.fft.ifft(v, axis=axis)
 
 
 def circulant_eigenvalues(first_column):

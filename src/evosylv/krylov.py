@@ -1,15 +1,13 @@
 """Block extended and rational Arnoldi bases with deflation.
 
-Both basis classes keep, alongside the orthonormal columns V:
-
-* ``KV``      the cached products K @ V with K = op.matrix (drives the
-              explicit projection T = V^T K V and the cheap residuals),
-* ``T_full``  the explicit projection, grown incrementally.
-
-The solvers build these bases for the operator of the interior unknowns,
-so V has no boundary rows and the projected coefficient is I + tau*beta*T.
-The projection and the residuals are formed from KV and T_full; no
-orthogonalization coefficients are recorded.
+Both basis classes keep, in their ``state``, the orthonormal columns V in
+panels, the explicit projection T_full = V^T K V, grown incrementally, and
+the last block with its image under K (EKSM's next direct half). No K V is
+cached: the new row block of T_full, V_new^T (K V_old), applies K to the
+old basis panel by panel. The solvers build these bases for the operator
+of the interior unknowns, so V has no boundary rows and the projected
+coefficient is I + tau*beta*T. No orthogonalization coefficients are
+recorded.
 """
 
 from dataclasses import dataclass, field
@@ -21,42 +19,42 @@ from .kernels import SparseAnalysis, sparse_factorize, sparse_solve
 
 DEFLATION_TOL = 1e-12
 
+#: Columns per storage panel of a basis.
+PANEL_WIDTH = 16
 
-def _cgs2_append(V, cand, deftol):
-    """Orthogonalize candidate columns against V (and each other) with two
-    classical Gram-Schmidt passes; drop columns whose remainder falls below
-    deftol times the candidate block norm.
+
+def _cgs2_append(st, cand, deftol):
+    """Orthogonalize candidate columns against the basis of ``st`` (and each
+    other) with two classical Gram-Schmidt passes; drop columns whose
+    remainder falls below deftol times the candidate block norm.
 
     Returns (new columns, accepted column indices).
     """
-    n = V.shape[0]
     scale = np.linalg.norm(cand)
     newcols, accepted = [], []
     for j in range(cand.shape[1]):
         c = cand[:, j].copy()
         for _ in range(2):
-            if V.shape[1]:
-                c -= V @ (V.T @ c)
+            if st.width:
+                c -= st.v_dot(st.vt_dot(c, st.width))
             for q in newcols:
                 c -= (q @ c) * q
         nrm = np.linalg.norm(c)
         if nrm > deftol * scale:
             newcols.append(c / nrm)
             accepted.append(j)
-    Vnew = np.column_stack(newcols) if newcols else np.zeros((n, 0))
+    Vnew = np.column_stack(newcols) if newcols else np.zeros((len(cand), 0))
     return Vnew, accepted
 
 
 class _ProjectionState:
-    """Shared bookkeeping of V, KV and T_full."""
+    """V in C-ordered panels of PANEL_WIDTH columns, T_full, and the last
+    block with its image under K. A new block fills the last panel or opens
+    the next one, so V grows without a copy; K applies to whole panels."""
 
     def __init__(self, op, deftol):
-        self.op = op
-        self.deftol = deftol
-        self.V = np.zeros((op.size, 0))
-        self.KV = np.zeros((op.size, 0))
-        self.T_full = np.zeros((0, 0))
-        self.block_bounds = [0]
+        self.op, self.deftol = op, deftol
+        self.panels, self.block_bounds, self.T_full = [], [0], np.zeros((0, 0))
 
     @property
     def width(self):
@@ -66,20 +64,40 @@ class _ProjectionState:
     def n_blocks(self):
         return len(self.block_bounds) - 1
 
-    def append_block(self, Vnew, KVnew=None):
-        r0 = self.width
-        if KVnew is None:
-            KVnew = self.op.matrix @ Vnew
-        r1 = r0 + Vnew.shape[1]
-        T = np.zeros((r1, r1))
+    def chunks(self, hi):
+        """V[:, :hi] as a list of panel views."""
+        return [P[:, :hi - lo] for lo, P in zip(range(0, hi, PANEL_WIDTH), self.panels)]
+
+    def vt_dot(self, X, hi):
+        """V[:, :hi]^T X."""
+        return np.concatenate([P.T @ X for P in self.chunks(hi)])
+
+    def v_dot(self, Y):
+        """V[:, :r] Y with r = Y.shape[0]."""
+        return sum(P @ Y[lo:lo + PANEL_WIDTH]
+                   for lo, P in zip(range(0, len(Y), PANEL_WIDTH), self.chunks(len(Y))))
+
+    def kv_rows(self, W, hi):
+        """W^T (K V[:, :hi]); K takes whole panels, as a slice would be copied."""
+        return np.hstack([W.T @ (self.op.matrix @ P)
+                          for P in self.panels[:-(-hi // PANEL_WIDTH)]])[:, :hi]
+
+    def append_block(self, Vnew):
+        r0, k = self.width, Vnew.shape[1]
+        KVnew = self.op.matrix @ Vnew
+        T = np.zeros((r0 + k, r0 + k))
         T[:r0, :r0] = self.T_full
-        T[:r0, r0:] = self.V.T @ KVnew
-        T[r0:, :r0] = Vnew.T @ self.KV
+        if r0:
+            T[:r0, r0:] = self.vt_dot(KVnew, r0)
+            T[r0:, :r0] = self.kv_rows(Vnew, r0)
         T[r0:, r0:] = Vnew.T @ KVnew
-        self.T_full = T
-        self.V = np.hstack([self.V, Vnew])
-        self.KV = np.hstack([self.KV, KVnew])
-        self.block_bounds.append(r1)
+        for j in range(k):
+            p, c = divmod(r0 + j, PANEL_WIDTH)
+            if p == len(self.panels):
+                self.panels.append(np.zeros((len(Vnew), PANEL_WIDTH)))
+            self.panels[p][:, c] = Vnew[:, j]
+        self.T_full, self.last, self.K_last = T, Vnew, KVnew
+        self.block_bounds.append(r0 + k)
 
     def projections(self, m):
         """(T_m, coupling) for the first m blocks.
@@ -89,13 +107,8 @@ class _ProjectionState:
         subspace after breakdown).
         """
         r = self.block_bounds[m]
-        T_m = self.T_full[:r, :r]
-        if m + 1 <= self.n_blocks:
-            rn = self.block_bounds[m + 1]
-            coupling = self.T_full[r:rn, :r]
-        else:
-            coupling = np.zeros((0, r))
-        return T_m, coupling
+        rn = self.block_bounds[min(m + 1, self.n_blocks)]
+        return self.T_full[:r, :r], self.T_full[r:rn, :r]
 
 
 class _Basis:
@@ -112,7 +125,8 @@ class _Basis:
 
     @property
     def V(self):
-        return self.state.V
+        """All columns as one array (a copy)."""
+        return np.hstack(self.state.panels)[:, :self.width]
 
 
 class ExtendedKrylovBasis(_Basis):
@@ -135,12 +149,10 @@ class ExtendedKrylovBasis(_Basis):
             Binv = op.solve(B)
         except SingularMatrix as exc:
             raise SingularOperator(str(exc)) from exc
-        cand = np.hstack([B, Binv])
-        Vnew, accepted = _cgs2_append(self.state.V, cand, deflation_tol)
+        Vnew, accepted = _cgs2_append(self.state, np.hstack([B, Binv]), deflation_tol)
         if Vnew.shape[1] == 0:
             raise Breakdown("starting block is zero")
-        w = B.shape[1]
-        self._splits = [sum(1 for j in accepted if j < w)]
+        self._splits = [sum(1 for j in accepted if j < B.shape[1])]
         self.state.append_block(Vnew)
 
     def projections(self, m):
@@ -148,22 +160,14 @@ class ExtendedKrylovBasis(_Basis):
 
     def step(self):
         """Append block m+1; raises Breakdown when nothing new survives."""
-        st = self.state
-        lo, hi = st.block_bounds[-2], st.block_bounds[-1]
-        ndir = self._splits[-1]
-        parts = []
-        if ndir > 0:
-            parts.append(st.KV[:, lo:lo + ndir])  # K @ direct half, cached
-        if hi - lo - ndir > 0:
-            parts.append(self.op.solve(st.V[:, lo + ndir:hi]))
-        if not parts:
-            raise Breakdown("previous block is empty")
-        n_dir_cand = parts[0].shape[1] if ndir > 0 else 0
-        cand = np.hstack(parts)
-        Vnew, accepted = _cgs2_append(st.V, cand, st.deftol)
+        st, ndir = self.state, self._splits[-1]
+        parts = [st.K_last[:, :ndir]]
+        if st.last.shape[1] > ndir:
+            parts.append(self.op.solve(st.last[:, ndir:]))
+        Vnew, accepted = _cgs2_append(st, np.hstack(parts), st.deftol)
         if Vnew.shape[1] == 0:
             raise Breakdown("new block entirely deflated: invariant subspace")
-        self._splits.append(sum(1 for j in accepted if j < n_dir_cand))
+        self._splits.append(sum(1 for j in accepted if j < ndir))
         st.append_block(Vnew)
 
 
@@ -182,7 +186,7 @@ class RationalKrylovBasis(_Basis):
             B = B[:, None]
         if np.linalg.norm(B) == 0.0:
             raise ValueError("starting block must be nonzero")
-        Vnew, _ = _cgs2_append(self.state.V, B, deflation_tol)
+        Vnew, _ = _cgs2_append(self.state, B, deflation_tol)
         if Vnew.shape[1] == 0:
             raise Breakdown("starting block is zero")
         self.state.append_block(Vnew)
@@ -193,13 +197,12 @@ class RationalKrylovBasis(_Basis):
     def step(self, shift):
         """Append (K - shift I)^{-1} (last block), orthonormalized."""
         st = self.state
-        lo, hi = st.block_bounds[-2], st.block_bounds[-1]
         try:
             fact = sparse_factorize(self.analysis, shift)
-            cand = sparse_solve(fact, st.V[:, lo:hi])
+            cand = sparse_solve(fact, st.last)
         except SingularMatrix as exc:
             raise ShiftSingular(f"shift {shift} hits the spectrum") from exc
-        Vnew, _ = _cgs2_append(st.V, cand, st.deftol)
+        Vnew, _ = _cgs2_append(st, cand, st.deftol)
         if Vnew.shape[1] == 0:
             raise Breakdown("new block entirely deflated: invariant subspace")
         st.append_block(Vnew)

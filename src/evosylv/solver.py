@@ -225,10 +225,6 @@ def eksm_separable_memory_units(m, widths, n, L):
     return 2 * (m + 1) * sum(widths) * n + (2 ** d) * (m + 1) ** d * prod * L
 
 
-def _layout(n_bases):
-    return "full" if n_bases == 1 else f"tensor{n_bases}d"
-
-
 def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
                 history):
     """The loop every outer solver shares; only the projection differs.
@@ -254,7 +250,7 @@ def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
     op_I, rhs_I, boundary = eliminate_boundary(op, rhs)
     delta = rhs.initial_norm()
     if rhs_I.initial_norm() == 0.0:
-        bases = [np.zeros((op_I.n, 0))] * op.d if tensor else [np.zeros((op_I.size, 0))]
+        bases = [np.zeros((op_I.n, 0))] * op.d if tensor else [[]]
         Y = np.zeros((0, L))
         m, res_hist, converged, used_inner = 1, [0.0], True, {"fft_smw"}
     else:
@@ -278,11 +274,10 @@ def _outer_loop(op, rhs, timeop, start, tensor, memory_units, tol, m_max,
             if converged or not grown:
                 break
         bases = projection.bases()
+    dims = [V.shape[1] for V in bases] if tensor else [Y.shape[0]]
     sol = _padded_solution(op, bases, Y, boundary)
     rep = SolveReport(iterations=m, residual_history=res_hist, delta=delta,
-                      converged=converged,
-                      basis_dims=[V.shape[1] for V in bases],
-                      memory_units=memory_units(m),
+                      converged=converged, basis_dims=dims, memory_units=memory_units(m),
                       wall_time=time.perf_counter() - t0,
                       inner_solver="fft_smw" if used_inner == {"fft_smw"} else "sequential")
     return sol, rep
@@ -292,20 +287,28 @@ def _padded_solution(op, bases, Y, boundary):
     """The factored solution on the full grid.
 
     One basis per dimension gets zero endpoint rows (the boundary block is
-    zero there). A single basis becomes [V scattered to the interior rows |
-    G1 scattered to the boundary rows], and Y becomes [Y; G2^T].
+    zero there). A single basis, a list of column panels, becomes [V on the
+    interior rows | G1 on the boundary rows], column-major, grown by
+    reallocation as each panel is moved and dropped, so V is never held
+    twice; Y becomes [Y; G2^T].
     """
     if len(bases) > 1:
         pad = (op.n - bases[0].shape[0]) // 2
-        return FactoredSolution(_layout(len(bases)),
+        return FactoredSolution(f"tensor{len(bases)}d",
                                 [np.pad(V, ((pad, pad), (0, 0))) for V in bases], Y)
     G1, G2 = boundary if boundary is not None else \
         (np.zeros((len(op.boundary_indices), 0)), np.zeros((Y.shape[1], 0)))
-    r = bases[0].shape[1]
-    full = np.zeros((op.size, r + G1.shape[1]))
-    full[op.interior_indices(), :r] = bases[0]
-    full[op.boundary_indices, r:] = G1
-    return FactoredSolution("full", [full], np.vstack([Y, G2.T]))
+    interior, cols, width = op.interior_indices(), np.zeros(0), 0
+    panels = bases[0]
+    panels.append(G1)
+    while panels:
+        block = panels.pop(0)
+        rows = interior if panels else op.boundary_indices
+        cols.resize((width + block.shape[1]) * op.size, refcheck=False)
+        cols.reshape(-1, op.size)[width:, rows] = block.T
+        width += block.shape[1]
+    return FactoredSolution("full", [cols.reshape(width, op.size).T],
+                            np.vstack([Y, G2.T]))
 
 
 # --- full-space projections ------------------------------------------------------
@@ -318,16 +321,14 @@ class _FullSpaceProjection:
 
     def __init__(self, op, rhs, basis):
         self.op, self.rhs, self.basis = op, rhs, basis
-        self.rhs_left = basis.V.T @ rhs.left
+        self.rhs_left = basis.state.last.T @ rhs.left
 
     def grow(self):
-        r_before = self.basis.width
         try:
             self._step()
         except Breakdown:
             return False
-        self.rhs_left = np.vstack([self.rhs_left,
-                                   self.basis.V[:, r_before:].T @ self.rhs.left])
+        self.rhs_left = np.vstack([self.rhs_left, self.basis.state.last.T @ self.rhs.left])
         return True
 
     def reduced(self, m):
@@ -336,7 +337,9 @@ class _FullSpaceProjection:
         return np.eye(self.r) + self.op.tau_beta * T_m, self.rhs_left[:self.r]
 
     def bases(self):
-        return [self.basis.V[:, :self.r]]
+        """[the first r columns as panel views], which the basis lets go of."""
+        views, self.basis.state.panels = self.basis.state.chunks(self.r), []
+        return [views]
 
 
 class _ExtendedProjection(_FullSpaceProjection):
@@ -357,11 +360,13 @@ class _RationalProjection(_FullSpaceProjection):
 
     One sparse factorization of (K_II - xi I) per step, all through the
     basis's one analysis of K_II. The residual norm comes from the start
-    block's image under K, at O(n r p) cost (see ``residual``).
+    block's image under K and one product of K with the basis (see
+    ``residual``).
     """
 
     def __init__(self, op, rhs, seed):
         super().__init__(op, rhs, RationalKrylovBasis(op, rhs.left))
+        self.KV1 = self.basis.state.K_last
         s_min, s_max = spectral_bounds(op, seed=seed, analysis=self.basis.analysis)
         self.shifts = ShiftState(s_min=s_min, s_max=s_max)
 
@@ -381,7 +386,7 @@ class _RationalProjection(_FullSpaceProjection):
         state.used_shifts.append(xi)
 
     def residual(self, Y):
-        """tau*beta ||C Y||_F, built from the cached KV and T_full.
+        """tau*beta ||C Y||_F, a p-row matrix times Y.
 
         By the Galerkin condition the residual of the projected equation is
         tau*beta W Y with W = K V_r - V_r T_r = (I - V_r V_r^T) K V_r. Every
@@ -390,13 +395,13 @@ class _RationalProjection(_FullSpaceProjection):
         in range(V) + range(K V_1), V_1 being the p columns of the start
         block (Ruhe, BIT 1994), whatever deflated. W therefore has rank at
         most p and the range of (I - V_r V_r^T) K V_1. With Q an orthonormal
-        basis of that range, ||W Y||_F = ||C Y||_F for C = Q^T W.
+        basis of that range, ||W Y||_F = ||C Y||_F for C = Q^T W = Q^T (K V_r)
+        - (Q^T V_r) T_r, with K applied to V one panel at a time (no K V kept).
         """
         st, r = self.basis.state, Y.shape[0]
-        p = st.block_bounds[1]
-        V, KV, T = st.V[:, :r], st.KV[:, :r], st.T_full[:r, :r]
-        Q = np.linalg.qr(KV[:, :p] - V @ T[:, :p])[0]
-        C = Q.T @ KV - (Q.T @ V) @ T
+        T = st.T_full[:r, :r]
+        Q = np.linalg.qr(self.KV1 - st.v_dot(T[:, :self.KV1.shape[1]]))[0]
+        C = st.kv_rows(Q, r) - st.vt_dot(Q, r).T @ T
         return self.op.tau_beta * np.linalg.norm(C @ Y)
 
 

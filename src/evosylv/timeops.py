@@ -42,14 +42,6 @@ class BdfScheme:
     beta: float
     alphas: np.ndarray
 
-    @property
-    def beta_exact(self):
-        return _BDF_TABLE[self.s][0]
-
-    @property
-    def alphas_exact(self):
-        return _BDF_TABLE[self.s][1]
-
 
 def bdf_coefficients(s):
     """Coefficients (beta, alpha_1..alpha_s) of the order-s BDF, s in 1..6."""

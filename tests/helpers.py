@@ -1,7 +1,7 @@
 """Shorthand constructors of grids and problems for the tests."""
 
 from evosylv.discretization import Grid, ProblemSpec
-from evosylv.timeops import bdf_coefficients
+from evosylv.timeops import _BDF_TABLE, bdf_coefficients
 
 
 def square_grid(d, n, ell, length=1.0, T=1.0, origin=0.0):
@@ -13,3 +13,13 @@ def square_grid(d, n, ell, length=1.0, T=1.0, origin=0.0):
 def problem_spec(kind, grid, s=1, **kwargs):
     """ProblemSpec with the BDF scheme of order s."""
     return ProblemSpec(kind=kind, grid=grid, scheme=bdf_coefficients(s), **kwargs)
+
+
+def beta_exact(scheme):
+    """beta of a BDF scheme as a Fraction."""
+    return _BDF_TABLE[scheme.s][0]
+
+
+def alphas_exact(scheme):
+    """alpha_1..alpha_s of a BDF scheme as Fractions."""
+    return _BDF_TABLE[scheme.s][1]

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evosylv
 from evosylv import kernels
 from evosylv.discretization import assemble_space_operator
 from evosylv.errors import SingularMatrix
@@ -90,6 +95,18 @@ class TestFft:
         roots = np.exp(-2j * np.pi * np.arange(4) / 4)
         key = lambda z: (round(z.real, 9), round(z.imag, 9))
         assert sorted(map(key, pi)) == sorted(map(key, roots))
+
+    def test_import_loads_no_scipy_fft(self):
+        # the transforms are numpy.fft's: importing scipy.fft, and the
+        # scipy.special it pulls in, would only lengthen every start-up
+        code = ("import sys, evosylv; "
+                "print(sorted({'scipy.fft', 'scipy.special'} & set(sys.modules)))")
+        path = [os.path.dirname(os.path.dirname(evosylv.__file__)),
+                os.environ.get("PYTHONPATH", "")]
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                             check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_roundtrip(self):
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)

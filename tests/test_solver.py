@@ -67,6 +67,18 @@ class TestEksm:
         assert rep.converged and rep.iterations == 1
         assert np.allclose(materialize(sol), 0.0)
 
+    def test_stiff_operator_reaches_tight_tolerance(self):
+        # ||K||_1 is 2.7e7 here, and the start block is an eigenvector of K
+        # up to rounding, so the second block holds rounding-level, rough
+        # directions: the residual falls from ~4e-10 to ~1e-14 at m = 2.
+        # That needs the new row block of the projection formed as
+        # V_new^T (K V_old); the algebraically equal (K^T V_new)^T V_old
+        # carries errors of eps ||K^T V_new|| into every entry and leaves
+        # the residual hovering near 1e-12 for a dozen more iterations
+        spec, op, rhs, top = setup("example1", 8193, 8, s=2)
+        sol, rep = solve_eksm(op, rhs, top, tol=1e-12)
+        assert rep.converged and rep.iterations == 2, rep.residual_history
+
     def test_matches_oracle(self):
         op, rhs, top = small_heat_problem()
         sol, rep = solve_eksm(op, rhs, top, tol=1e-11, m_max=40)
@@ -546,3 +558,17 @@ class TestInteriorUnknowns:
             tracemalloc.stop()
         assert rep.converged
         assert peak < bound_mib * 2**20
+
+    def test_full_space_basis_is_held_once(self):
+        # the basis is the solve's one large array: no cached K V, and the
+        # padded full-grid factor takes the basis's panels over one by one
+        # (with a cached K V and a padded copy the peak was 3.2 basis arrays)
+        op, rhs, top = example3_setup(192, 256)
+        tracemalloc.start()
+        try:
+            sol, rep = solve_eksm(op, rhs, top, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak <= 1.5 * op.interior().size * rep.basis_dims[0] * 8
